@@ -9,6 +9,10 @@ where ``count`` is the number of elements actually contributing at that
 pixel (edge-truncated sub-apertures and out-of-support samples reduce it).
 The pulse-length variant averages the CF over the samples spanning one
 pulse length starting at the arrival time.
+
+Both work one depth row at a time on the lanes of the aperture band that
+the row uses (see ``ApertureSamples``), so CF and a one-sample CFPL reduce
+identical vectors and agree bitwise.
 """
 
 from __future__ import annotations
@@ -19,15 +23,16 @@ import numpy as np
 
 from .core import ArrayGeometry, Medium, PixelGrid, PulseSpec
 from .errors import GridMismatchError, ValidationError
-from .forward import PressureModel, _element_amplitudes
+from .forward import PressureModel, _amplitude
 from .reconstruct import (
     ApertureSamples,
     BeamformedImage,
+    _Scratch,
     _gather,
+    _lane_elements,
     _run_rows,
-    _window_bounds,
+    _sub_aperture_windows,
     envelope,
-    sub_aperture_size,
 )
 
 KIND_CF = "cf"
@@ -54,12 +59,17 @@ class CoherenceMap:
         object.__setattr__(self, "values", v)
 
 
-def _cf_values(vals: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """CF of sample vectors along the last axis; 0 where there is no energy."""
-    vals = np.where(valid, vals, 0.0)
+def _cf_values(
+    vals: np.ndarray, valid: np.ndarray, scratch: _Scratch | None = None
+) -> np.ndarray:
+    """CF of sample vectors along the last axis; 0 where there is no energy.
+
+    ``vals`` must be 0 wherever ``valid`` is False.
+    """
     num = vals.sum(axis=-1) ** 2
-    energy = (vals * vals).sum(axis=-1)
-    count = valid.sum(axis=-1)
+    square = None if scratch is None else scratch("square", vals.shape)
+    energy = np.square(vals, out=square).sum(axis=-1)
+    count = np.count_nonzero(valid, axis=-1)
     den = count * energy
     with np.errstate(invalid="ignore", divide="ignore"):
         cf = np.where(den > 0, num / den, 0.0)
@@ -67,9 +77,19 @@ def _cf_values(vals: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.clip(cf, 0.0, 1.0)
 
 
+def _row_widths(samples: ApertureSamples) -> np.ndarray:
+    """Per depth row, the number of leading band lanes holding any member."""
+    used = samples.member.any(axis=1)
+    last = used.shape[1] - np.argmax(used[:, ::-1], axis=1)
+    return np.where(used.any(axis=1), last, 0)
+
+
 def coherence_factor(samples: ApertureSamples) -> CoherenceMap:
     """Coherence factor of the delayed aperture samples at every pixel."""
-    cf = _cf_values(samples.samples, samples.valid)
+    cf = np.zeros((samples.grid.nz, samples.grid.nx))
+    for iz, w in enumerate(_row_widths(samples)):
+        valid = samples.valid[iz, :, :w]
+        cf[iz] = _cf_values(np.where(valid, samples.samples[iz, :, :w], 0.0), valid)
     return CoherenceMap(grid=samples.grid, values=cf, kind=KIND_CF)
 
 
@@ -85,23 +105,35 @@ def coherence_factor_pl(
     the pulse length and averaged.  The window starts at the arrival-time
     sample; pass ``centered=True`` to center it on the arrival instead.
     Instants with zero energy contribute 0 to the mean.
+
+    Each depth row gathers all instants at once, (pulse_samples, nx, w)
+    samples for the row's w lanes, into buffers reused across rows.
     """
     if pulse_samples < 1:
         raise ValidationError("pulse_samples must be >= 1")
     offsets = np.arange(pulse_samples)
     if centered:
         offsets = offsets - (pulse_samples - 1) // 2
-    nz = samples.grid.nz
-    total = np.zeros((nz, samples.grid.nx))
+    offsets = offsets.astype(float)[:, None, None]
+    nz, nx = samples.grid.nz, samples.grid.nx
+    total = np.zeros((nz, nx))
+    widths = _row_widths(samples)
 
     def do_rows(rows):
-        rows = list(rows)
-        sl = slice(rows[0], rows[-1] + 1)
-        acc = np.zeros_like(total[sl])
-        for off in offsets:
-            vals, support = _gather(samples.channels, samples.positions[sl] + off)
-            acc += _cf_values(vals, samples.member[sl] & support)
-        total[sl] = acc
+        scratch = _Scratch(pulse_samples * nx * samples.samples.shape[2])
+        for iz in rows:
+            w = widths[iz]
+            shape = (pulse_samples, nx, w)
+            pos = np.add(samples.positions[iz, :, :w], offsets, out=scratch("pos", shape))
+            elem = _lane_elements(samples.start[iz], w, samples.num_elements)
+            vals, support = _gather(samples.channels, elem, pos, scratch)
+            valid = np.logical_and(samples.member[iz, :, :w], support, out=support)
+            invalid = np.logical_not(valid, out=scratch("invalid", shape, bool))
+            np.copyto(vals, 0.0, where=invalid)
+            # a running sum in instant order, whatever the row's shape
+            acc = total[iz]
+            for cf in _cf_values(vals, valid, scratch):
+                acc += cf
 
     _run_rows(do_rows, nz, threads)
     cfpl = total / pulse_samples
@@ -145,18 +177,16 @@ def effective_beam_map(
     elem_x = geometry.element_positions()
     xs = grid.x_coords()
     zs = grid.z_coords()
-    nearest = np.array([geometry.nearest_element(x) for x in xs])
-    elem_ids = np.arange(m)
+    lo, hi = _sub_aperture_windows(geometry, xs, zs, f_number)
+    span = hi - lo
     out = np.zeros((grid.nz, grid.nx))
 
     def do_rows(rows):
         for iz in rows:
-            z = zs[iz]
-            m_sa = sub_aperture_size(z, f_number, geometry.pitch, m)
-            lo, hi = _window_bounds(m_sa, nearest, m)
-            member = (elem_ids[None, :] >= lo[:, None]) & (elem_ids[None, :] <= hi[:, None])
-            amp = _element_amplitudes(elem_x, xs, np.full(xs.shape, z), model)
-            out[iz] = np.where(member, amp.T, 0.0).sum(axis=1)
+            w = int(span[iz].max()) + 1
+            elem = _lane_elements(lo[iz], w, m)
+            amp = _amplitude(xs[:, None] - elem_x[elem], zs[iz], model)
+            out[iz] = np.where(np.arange(w) <= span[iz][:, None], amp, 0.0).sum(axis=1)
 
     _run_rows(do_rows, grid.nz, threads)
     return out

@@ -176,8 +176,12 @@ def _element_amplitudes(
     elem_x: np.ndarray, px: np.ndarray, pz: np.ndarray, model: PressureModel
 ) -> np.ndarray:
     """Amplitudes of elements (E,) at points (N,), returned as (E, N)."""
-    dx = px[None, :] - elem_x[:, None]
-    r = np.hypot(dx, pz[None, :])
+    return _amplitude(px[None, :] - elem_x[:, None], pz[None, :], model)
+
+
+def _amplitude(dx, pz, model: PressureModel) -> np.ndarray:
+    """Element amplitude at lateral offset ``dx`` and depth ``pz`` (broadcast)."""
+    r = np.hypot(dx, pz)
     rc = np.maximum(r, model.r_min)
     if model.decay == "none":
         amp = np.ones_like(r)
@@ -186,7 +190,7 @@ def _element_amplitudes(
     else:
         amp = model.r_min / rc
     if model.directivity == "cosine":
-        cos_t = np.where(r > 0, pz[None, :] / np.maximum(r, 1e-300), 1.0)
+        cos_t = np.where(r > 0, pz / np.maximum(r, 1e-300), 1.0)
         amp = amp * cos_t
     return amp
 

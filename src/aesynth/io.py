@@ -28,9 +28,12 @@ reconstruction parameters next to each image.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import math
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +45,35 @@ from .forward import ChannelDataSet, TransmitEvent
 MAGIC = b"AECD"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHIdddd")
+_U16_MAX = 0xFFFF
+_U32_MAX = 0xFFFFFFFF
 
 LOG_COMPRESSION_DB = 40.0
 
+# mkstemp creates files readable by the owner only; written files get the
+# permissions a plain open() would give them instead.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file and rename so partial files never land on disk."""
+    """Write via a temp file and rename so partial files never land on disk.
+
+    The temp file has a unique name in the target's directory, so concurrent
+    writers to one path each rename a complete file; the last rename wins.
+    It is removed if the write fails.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            os.fchmod(f.fileno(), 0o666 & ~_UMASK)
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def sha256_file(path) -> str:
@@ -59,9 +81,19 @@ def sha256_file(path) -> str:
 
 
 def channel_file_bytes(data: ChannelDataSet) -> bytes:
-    """Serialize a channel data set to the on-disk format."""
+    """Serialize a channel data set to the on-disk format.
+
+    Raises ``FileFormatError`` when a count does not fit its header field.
+    """
     m_tx, t = data.channels.shape
     m = data.geometry.num_elements
+    for name, value, limit in (
+        ("transmit events M_tx", m_tx, _U16_MAX),
+        ("samples per trace T", t, _U32_MAX),
+        ("array elements M", m, _U16_MAX),
+    ):
+        if value > limit:
+            raise FileFormatError(f"{name} = {value} exceeds the format's limit of {limit}")
     parts = [
         _HEADER.pack(
             MAGIC,
@@ -105,6 +137,10 @@ def read_channel_file(path) -> ChannelDataSet:
         raise FileFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FileFormatError(f"unsupported version {version}")
+    if not (math.isfinite(fs) and fs > 0):
+        raise FileFormatError(f"sample_rate must be finite and > 0, got {fs}")
+    if not math.isfinite(t0):
+        raise FileFormatError(f"t0 must be finite, got {t0}")
     off = _HEADER.size
     n_samp = m_tx * t
     if len(blob) < off + 4 * n_samp + 2:

@@ -59,12 +59,21 @@ class BeamformedImage:
 class ApertureSamples:
     """Per-pixel delayed single-element samples retained for coherence maps.
 
-    ``samples[iz, ix, i]`` is element i's channel sampled at pixel (ix, iz)'s
+    Band layout: a pixel keeps only its sub-aperture window, on ``W`` lanes,
+    where ``W`` is the widest window of the grid.  Lane ``j`` of pixel
+    (ix, iz) holds element ``start[iz, ix] + j``; lanes past the window are
+    padding with ``member`` False.  The full-aperture case is ``start = 0``
+    and ``W = M``.  The arrays hold nz * nx * W lanes rather than
+    nz * nx * M, and the coherence maps work one depth row at a time on the
+    lanes that row uses, so their temporaries are O(nx * W) per row (CFPL:
+    O(pulse_samples * nx * W), in buffers reused across rows).
+
+    ``samples[iz, ix, j]`` is the lane's channel sampled at the pixel's
     arrival time (0 where unusable); ``member`` marks sub-aperture
-    membership, ``valid`` additionally requires the sample time to lie within
-    the recorded trace.  ``positions`` are fractional sample indices so
-    pulse-length windows can be re-gathered from ``channels`` (one row per
-    array element).
+    membership, ``valid`` additionally requires the sample time to lie
+    within the recorded trace.  ``positions`` are fractional sample indices
+    so pulse-length windows can be re-gathered from ``channels`` (one row
+    per array element).
     """
 
     grid: PixelGrid
@@ -73,10 +82,11 @@ class ApertureSamples:
     valid: np.ndarray = field(repr=False)
     positions: np.ndarray = field(repr=False)
     channels: np.ndarray = field(repr=False)
+    start: np.ndarray = field(repr=False)
 
     @property
     def num_elements(self) -> int:
-        return self.samples.shape[2]
+        return self.channels.shape[0]
 
     def valid_count(self) -> np.ndarray:
         """Per-pixel number of contributing elements (edge/support aware)."""
@@ -91,39 +101,97 @@ def sub_aperture_size(z: float, f_number: float, pitch: float, num_elements: int
     return min(max(m, 1), num_elements)
 
 
-def _window_bounds(m_sa: int, nearest: np.ndarray, num_elements: int):
+def _window_bounds(m_sa, nearest, num_elements: int):
     """Centered index window of nominal size ``m_sa``, truncated at the edges."""
     lo = np.maximum(nearest - (m_sa - 1) // 2, 0)
     hi = np.minimum(nearest + m_sa // 2, num_elements - 1)
     return lo, hi
 
 
-def sub_aperture_elements(pixel, geometry: ArrayGeometry, f_number: float) -> np.ndarray:
-    """Indices of the sub-aperture elements for one pixel.
+def _sub_aperture_windows(geometry: ArrayGeometry, xs, zs, f_number: float):
+    """First and last sub-aperture element of every pixel, each (len(zs), len(xs)).
 
     The window of ``sub_aperture_size`` elements is centered on the element
     nearest the pixel's lateral position and truncated (not shifted) at the
     array edges, so fewer elements contribute near the lateral borders.
     """
+    m = geometry.num_elements
+    nearest = np.array([geometry.nearest_element(x) for x in xs], dtype=np.int64)
+    sizes = np.array(
+        [sub_aperture_size(z, f_number, geometry.pitch, m) for z in zs], dtype=np.int64
+    )
+    return _window_bounds(sizes[:, None], nearest[None, :], m)
+
+
+def _lane_elements(lo: np.ndarray, width: int, num_elements: int) -> np.ndarray:
+    """Element of each of ``width`` lanes from ``lo`` on (padding lanes clamped)."""
+    return np.minimum(lo[..., None] + np.arange(width), num_elements - 1)
+
+
+def sub_aperture_elements(pixel, geometry: ArrayGeometry, f_number: float) -> np.ndarray:
+    """Indices of the sub-aperture elements for one pixel.
+
+    The window is centered on the element nearest the pixel and truncated,
+    not shifted, at the array edges (see ``_sub_aperture_windows``).
+    """
     x, z = pixel
-    m_sa = sub_aperture_size(z, f_number, geometry.pitch, geometry.num_elements)
-    k = geometry.nearest_element(x)
-    lo, hi = _window_bounds(m_sa, np.asarray(k), geometry.num_elements)
-    return np.arange(int(lo), int(hi) + 1)
+    lo, hi = _sub_aperture_windows(geometry, [x], [z], f_number)
+    return np.arange(int(lo[0, 0]), int(hi[0, 0]) + 1)
 
 
-def _gather(channels: np.ndarray, pos: np.ndarray):
-    """Linear-interpolated samples ``channels[i, pos[..., i]]`` with a support mask."""
+class _Scratch:
+    """Reusable flat buffers, one per name, handed out as contiguous arrays.
+
+    A buffer is sized for ``capacity`` elements (or the first request, if
+    larger), so a loop of differently sized requests allocates once.  An
+    array handed out stays valid until the next request of the same name.
+    """
+
+    def __init__(self, capacity: int = 0):
+        self.capacity = capacity
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = int(np.prod(shape))
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(max(size, self.capacity), dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _gather(
+    channels: np.ndarray, rows, pos: np.ndarray, scratch: _Scratch | None = None
+):
+    """Linear-interpolated samples ``channels[rows, pos]`` with a support mask.
+
+    ``rows`` (trace indices) broadcasts to the shape of ``pos`` (fractional
+    sample indices).  The flattened traces are indexed directly, so only the
+    requested samples are read; samples outside the trace are 0.  With a
+    ``scratch`` the results live in its buffers, so repeated large gathers
+    do not allocate.
+    """
     n = channels.shape[1]
     if n < 2:
         raise ValidationError("channel traces must have at least 2 samples")
-    support = (pos >= 0) & (pos <= n - 1)
-    k0 = np.clip(np.floor(pos).astype(np.int64), 0, n - 2)
-    frac = pos - k0
-    idx = np.arange(channels.shape[0])
-    idx = idx.reshape((1,) * (pos.ndim - 1) + (-1,))
-    v = channels[idx, k0] * (1 - frac) + channels[idx, k0 + 1] * frac
-    return np.where(support, v, 0.0), support
+    buf = scratch or _Scratch()
+    shape = pos.shape
+    support = np.greater_equal(pos, 0, out=buf("support", shape, bool))
+    outside = buf("outside", shape, bool)
+    support &= np.less_equal(pos, n - 1, out=outside)
+    k0 = np.floor(pos, out=buf("k0", shape))
+    np.clip(k0, 0, n - 2, out=k0)
+    index = buf("index", shape, np.int64)
+    index[...] = k0
+    index += rows * n
+    frac = np.subtract(pos, k0, out=k0)
+    flat = channels.ravel()
+    v = flat.take(index, out=buf("v", shape), mode="clip")
+    upper = flat[1:].take(index, out=buf("upper", shape), mode="clip")
+    upper *= frac
+    v *= np.subtract(1, frac, out=frac)
+    v += upper
+    np.copyto(v, 0.0, where=np.logical_not(support, out=outside))
+    return v, support
 
 
 def das_sa(
@@ -138,6 +206,7 @@ def das_sa(
     interpolation) at that element's time of flight to the pixel and the
     samples are summed in ascending element order.  Samples outside the
     recorded trace contribute zero and are excluded from the valid count.
+    Only the window elements are gathered (see ``ApertureSamples``).
     """
     geometry = data.geometry
     m = geometry.num_elements
@@ -160,35 +229,32 @@ def das_sa(
     zs = grid.z_coords()
     c = data.medium.sos
     fs = data.sample_rate
-    nearest = np.array([geometry.nearest_element(x) for x in xs])
+    lo, hi = _sub_aperture_windows(geometry, xs, zs, f_number)
+    span = hi - lo
+    width = int(span.max()) + 1
 
+    shape = (grid.nz, grid.nx, width)
     values = np.zeros((grid.nz, grid.nx))
-    samples = np.zeros((grid.nz, grid.nx, m))
-    member = np.zeros((grid.nz, grid.nx, m), dtype=bool)
-    valid = np.zeros((grid.nz, grid.nx, m), dtype=bool)
-    positions = np.full((grid.nz, grid.nx, m), -1.0)
-    elem_ids = np.arange(m)
+    samples = np.zeros(shape)
+    member = np.zeros(shape, dtype=bool)
+    valid = np.zeros(shape, dtype=bool)
+    positions = np.full(shape, -1.0)
 
     def do_rows(rows):
         for iz in rows:
-            z = zs[iz]
-            m_sa = sub_aperture_size(z, f_number, geometry.pitch, m)
-            lo, hi = _window_bounds(m_sa, nearest, m)
-            row_member = (
-                (elem_ids[None, :] >= lo[:, None])
-                & (elem_ids[None, :] <= hi[:, None])
-                & has_channel[None, :]
-            )
-            tau = elem_delay[None, :] + np.hypot(xs[:, None] - elem_x[None, :], z) / c
+            w = int(span[iz].max()) + 1
+            elem = _lane_elements(lo[iz], w, m)
+            row_member = (np.arange(w) <= span[iz][:, None]) & has_channel[elem]
+            tau = elem_delay[elem] + np.hypot(xs[:, None] - elem_x[elem], zs[iz]) / c
             pos = (tau - data.t0) * fs
-            vals, support = _gather(channels, pos)
+            vals, support = _gather(channels, elem, pos)
             row_valid = row_member & support
             vals = np.where(row_valid, vals, 0.0)
             values[iz] = vals.sum(axis=1)
-            samples[iz] = vals
-            member[iz] = row_member
-            valid[iz] = row_valid
-            positions[iz] = pos
+            samples[iz, :, :w] = vals
+            member[iz, :, :w] = row_member
+            valid[iz, :, :w] = row_valid
+            positions[iz, :, :w] = pos
 
     _run_rows(do_rows, grid.nz, threads)
 
@@ -199,6 +265,7 @@ def das_sa(
         valid=valid,
         positions=positions,
         channels=channels,
+        start=lo,
     )
     image = BeamformedImage(
         grid=grid,
@@ -270,8 +337,7 @@ def fus_line_map(
         best[col] = dist
         pos = (t_ref + zs / medium.sos - data.t0) * fs
         trace = data.channels[row]
-        col_vals, support = _gather(trace[None, :], pos[:, None])
-        values[:, col] = col_vals[:, 0]
+        values[:, col], _ = _gather(trace[None, :], 0, pos)
         filled[col] = True
 
     coverage = np.broadcast_to(filled, (grid.nz, grid.nx)).copy()

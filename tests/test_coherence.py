@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aesynth import (
     ArrayGeometry,
@@ -30,6 +30,9 @@ from test_reconstruct import make_scene, point_field_on_grid, simulate_sa
 def vectors_to_aperture(vectors):
     """Wrap (n_pix, M) aperture vectors as full-aperture ApertureSamples.
 
+    The band is the full aperture: every window starts at element 0 and
+    spans all M lanes.
+
     Channel rows and integer positions are arranged so re-gathering at the
     stored positions reproduces the vectors bitwise (each pixel owns one
     sample column per element).
@@ -51,11 +54,13 @@ def vectors_to_aperture(vectors):
         valid=ones.copy(),
         positions=positions,
         channels=channels,
+        start=np.zeros((n_pix, 1), dtype=np.int64),
     )
 
 
 def windowed_noise_aperture(rng, n_pix, m, window):
-    """Full-aperture samples drawn from iid noise with non-overlapping windows."""
+    """Full-aperture samples (start 0, W = M) drawn from iid noise with
+    non-overlapping windows."""
     from aesynth.reconstruct import ApertureSamples
     from aesynth.reconstruct import _gather
 
@@ -64,13 +69,14 @@ def windowed_noise_aperture(rng, n_pix, m, window):
     positions = np.broadcast_to(
         (np.arange(n_pix, dtype=float) * stride)[:, None, None], (n_pix, 1, m)
     ).copy()
-    vals, support = _gather(channels, positions)
+    vals, support = _gather(channels, np.arange(m), positions)
     assert support.all()
     grid = PixelGrid(origin=(0.0, 1e-3), dx=1e-4, dz=1e-4, nx=1, nz=n_pix)
     ones = np.ones((n_pix, 1, m), dtype=bool)
     return ApertureSamples(
         grid=grid, samples=vals, member=ones, valid=ones.copy(),
         positions=positions, channels=channels,
+        start=np.zeros((n_pix, 1), dtype=np.int64),
     )
 
 
@@ -206,6 +212,122 @@ class TestCoherenceFactorPulseLength:
             vectors_to_aperture(aperture.channels[:, t_end - 1][None, :])
         )
         assert vals.values[-1, 0] == pytest.approx(first.values[0, 0] / 5)
+
+
+def full_aperture_oracle(data, grid, f_number, pulse_samples, centered):
+    """Image values, coverage, CF and CFPL from a masked gather over all M.
+
+    Every pixel samples every element's channel; the sub-aperture window,
+    missing channels and the trace support only mask the results.
+    """
+    g = data.geometry
+    m, n = g.num_elements, data.num_samples
+    channels = np.zeros((m, n))
+    has_channel = np.zeros(m, dtype=bool)
+    delay = np.zeros(m)
+    for row, ev in enumerate(data.events):
+        i = ev.single_element_index()
+        channels[i] = data.channels[row]
+        has_channel[i] = True
+        delay[i] = ev.delays[i]
+    xs, zs = grid.x_coords(), grid.z_coords()
+    elem = np.arange(m)
+    member = np.zeros((grid.nz, grid.nx, m), dtype=bool)
+    for iz, z in enumerate(zs):
+        m_sa = sub_aperture_size(z, f_number, g.pitch, m)
+        for ix, x in enumerate(xs):
+            k = g.nearest_element(x)
+            lo, hi = max(k - (m_sa - 1) // 2, 0), min(k + m_sa // 2, m - 1)
+            member[iz, ix] = (elem >= lo) & (elem <= hi) & has_channel
+    dist = np.hypot(xs[None, :, None] - g.element_positions(), zs[:, None, None])
+    pos = (delay + dist / data.medium.sos - data.t0) * data.sample_rate
+
+    def gather(p):
+        support = (p >= 0) & (p <= n - 1)
+        k0 = np.clip(np.floor(p).astype(np.int64), 0, n - 2)
+        frac = p - k0
+        v = channels[elem, k0] * (1 - frac) + channels[elem, k0 + 1] * frac
+        return np.where(support, v, 0.0), support
+
+    def cf(vals, valid):
+        vals = np.where(valid, vals, 0.0)
+        den = valid.sum(axis=-1) * (vals * vals).sum(axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.clip(np.where(den > 0, vals.sum(axis=-1) ** 2 / den, 0.0), 0, 1)
+
+    vals, support = gather(pos)
+    valid = member & support
+    offsets = np.arange(pulse_samples)
+    if centered:
+        offsets = offsets - (pulse_samples - 1) // 2
+    cfpl = np.mean([cf(*_and_member(gather(pos + off), member)) for off in offsets], axis=0)
+    image = np.where(valid, vals, 0.0).sum(axis=-1)
+    return image, valid.sum(axis=-1), cf(vals, valid), cfpl
+
+
+def _and_member(gathered, member):
+    vals, support = gathered
+    return vals, member & support
+
+
+class TestBandMatchesFullAperture:
+    """The band-limited gather reproduces a masked gather over all M."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        m=st.integers(2, 24),
+        trace_len=st.integers(2, 160),
+        nx=st.integers(1, 7),
+        nz=st.integers(1, 6),
+        x0=st.floats(-6e-3, 3e-3),
+        z0=st.floats(0.2e-3, 8e-3),
+        f_number=st.floats(0.3, 3.0),
+        missing=st.booleans(),
+        pulse_samples=st.integers(1, 9),
+        centered=st.booleans(),
+    )
+    # edge-truncated windows, a missing channel, a trace too short for the
+    # deep rows and the longest centered and causal pulse windows
+    @example(seed=1, m=16, trace_len=60, nx=7, nz=6, x0=-4e-3, z0=2e-3,
+             f_number=0.8, missing=True, pulse_samples=9, centered=True)
+    @example(seed=2, m=9, trace_len=75, nx=5, nz=6, x0=0.5e-3, z0=1.5e-3,
+             f_number=0.5, missing=True, pulse_samples=9, centered=False)
+    def test_values_coverage_cf_cfpl(
+        self, seed, m, trace_len, nx, nz, x0, z0, f_number, missing, pulse_samples, centered
+    ):
+        rng = np.random.default_rng(seed)
+        g = ArrayGeometry(num_elements=m, pitch=0.3e-3)
+        pulse = PulseSpec(center_frequency=2e6, num_cycles=1, sample_rate=16e6)
+        events = single_element_sequence(g)
+        if missing:
+            del events[int(rng.integers(m))]
+        data = ChannelDataSet(
+            channels=rng.normal(size=(len(events), trace_len)),
+            sample_rate=pulse.sample_rate, t0=float(rng.uniform(-1e-6, 1e-6)),
+            events=tuple(events), geometry=g, medium=Medium(sos=1480.0), pulse=pulse,
+        )
+        grid = PixelGrid(origin=(x0, z0), dx=0.45e-3, dz=0.7e-3, nx=nx, nz=nz)
+        want_img, want_cov, want_cf, want_cfpl = full_aperture_oracle(
+            data, grid, f_number, pulse_samples, centered
+        )
+
+        results = []
+        for threads in (1, 3):
+            image, aperture = das_sa(data, grid, f_number, threads=threads)
+            cf = coherence_factor(aperture)
+            cfpl = coherence_factor_pl(
+                aperture, pulse_samples=pulse_samples, centered=centered, threads=threads
+            )
+            results.append((image.values, image.coverage, cf.values, cfpl.values))
+            peak = np.abs(want_img).max()
+            np.testing.assert_allclose(image.values, want_img, rtol=0, atol=1e-12 * peak)
+            np.testing.assert_array_equal(image.coverage, want_cov)
+            np.testing.assert_array_equal(aperture.valid_count(), want_cov)
+            np.testing.assert_allclose(cf.values, want_cf, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cfpl.values, want_cfpl, rtol=0, atol=1e-12)
+        for one, three in zip(*results):
+            np.testing.assert_array_equal(one, three)
 
 
 class TestApplyWeighting:

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,9 @@ from aesynth import (
     focused_sequence,
 )
 from aesynth.errors import FileFormatError
+from aesynth.forward import ChannelDataSet, TransmitEvent
 from aesynth.io import (
+    atomic_write_bytes,
     channel_file_bytes,
     format_metric,
     read_channel_file,
@@ -97,6 +102,43 @@ class TestChannelFile:
         with pytest.raises(FileFormatError):
             read_channel_file(path)
 
+    @pytest.mark.parametrize("fs", [0.0, -16e6, float("nan"), float("inf")])
+    def test_bad_sample_rate_rejected(self, tmp_path, dataset, fs):
+        path = tmp_path / "data.aecd"
+        write_channel_file(path, dataset)
+        blob = bytearray(path.read_bytes())
+        blob[12:20] = np.float64(fs).astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FileFormatError, match="sample_rate"):
+            read_channel_file(path)
+
+    @pytest.mark.parametrize("t0", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_t0_rejected(self, tmp_path, dataset, t0):
+        path = tmp_path / "data.aecd"
+        write_channel_file(path, dataset)
+        blob = bytearray(path.read_bytes())
+        blob[20:28] = np.float64(t0).astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FileFormatError, match="t0"):
+            read_channel_file(path)
+
+    def test_element_count_beyond_u16_rejected(self, tmp_path):
+        m = 70_000
+        active = np.zeros(m, dtype=bool)
+        active[0] = True
+        data = ChannelDataSet(
+            channels=np.zeros((1, 8)), sample_rate=16e6, t0=0.0,
+            events=(TransmitEvent(delays=np.zeros(m), active=active),),
+            geometry=ArrayGeometry(num_elements=m, pitch=0.3e-3),
+            medium=Medium(sos=1480.0),
+        )
+        with pytest.raises(FileFormatError, match="array elements"):
+            channel_file_bytes(data)
+        path = tmp_path / "big.aecd"
+        with pytest.raises(FileFormatError):
+            write_channel_file(path, data)
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_partial_file_left_behind(self, tmp_path, dataset):
         path = tmp_path / "sub" / "data.aecd"
         with pytest.raises(FileNotFoundError):
@@ -153,3 +195,56 @@ class TestSidecarAndCsv:
         assert format_metric(float("-inf")) == "-inf"
         assert format_metric(1.25) == "1.250000"
         assert format_metric("bm") == "bm"
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_leave_one_complete_payload(self, tmp_path, monkeypatch):
+        # both writers finish their temp files before either renames, the
+        # interleaving under which a shared temp name loses a write
+        path = tmp_path / "shared.bin"
+        payloads = [bytes([i]) * 200_000 for i in (1, 2)]
+        both_written = threading.Barrier(2, timeout=10)
+        real_replace = os.replace
+
+        def replace_after_both(src, dst):
+            both_written.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_both)
+        errors = []
+
+        def writer(payload):
+            try:
+                for _ in range(5):
+                    atomic_write_bytes(path, payload)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert path.read_bytes() in payloads
+        assert [f.name for f in tmp_path.iterdir()] == ["shared.bin"]
+
+    def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_bytes(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write_bytes(path, b"x")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -119,7 +119,37 @@ class TestDasSa:
         )
         image, aperture = das_sa(data, grid, f_number=1.5)
         np.testing.assert_array_equal(image.values, 0.0)
-        assert aperture.samples.shape == (8, 5, 8)
+        # band layout: one lane per element of the widest window (here the
+        # deep rows' window covers all 8 elements) and one start per pixel
+        widest = max(
+            len(sub_aperture_elements((x, z), g, 1.5))
+            for z in grid.z_coords() for x in grid.x_coords()
+        )
+        assert aperture.samples.shape == (8, 5, widest)
+        assert aperture.start.shape == (8, 5)
+
+    def test_band_holds_only_the_widest_window(self):
+        # shallow grid on a wide array: the band is far narrower than M and
+        # lane j of each pixel holds element start + j
+        g, medium, pulse, model = make_scene(num_elements=64)
+        grid = PixelGrid(origin=(-3e-3, 2e-3), dx=5e-4, dz=5e-4, nx=13, nz=6)
+        rng = np.random.default_rng(8)
+        data = ChannelDataSet(
+            channels=rng.normal(size=(64, 200)), sample_rate=pulse.sample_rate,
+            t0=0.0, events=tuple(single_element_sequence(g)), geometry=g,
+            medium=medium, pulse=pulse,
+        )
+        _, aperture = das_sa(data, grid, f_number=1.5)
+        m_deep = sub_aperture_size(grid.z_coords()[-1], 1.5, g.pitch, 64)
+        assert aperture.samples.shape == (6, 13, m_deep)
+        assert m_deep < 64
+        for iz, z in enumerate(grid.z_coords()):
+            for ix, x in enumerate(grid.x_coords()):
+                idx = sub_aperture_elements((x, z), g, 1.5)
+                assert aperture.start[iz, ix] == idx[0]
+                np.testing.assert_array_equal(
+                    np.flatnonzero(aperture.member[iz, ix]), idx - idx[0]
+                )
 
     def test_single_channel_matches_brute_force(self):
         # one nonzero channel back-projects onto a hyperbolic arc
