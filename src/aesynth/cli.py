@@ -2,8 +2,8 @@
 
 Every run is fully determined by a scenario file plus a seed; lengths at
 this boundary are millimeters.  ``--threads`` (or the ``AE_SYNTH_THREADS``
-environment variable) parallelizes row-level kernels without changing any
-output byte.
+environment variable) parallelizes the row-level reconstruction kernels
+without changing any output byte; simulation accepts it and runs on one thread.
 """
 
 from __future__ import annotations
@@ -343,10 +343,10 @@ def evaluate_bundles(prefixes, scenario: Scenario, write_reports: bool = False) 
 # argparse front end
 
 
-def _add_threads(p):
+def _add_threads(p, what="row-level worker threads"):
     p.add_argument(
         "--threads", type=int, default=None,
-        help="row-level worker threads (default: AE_SYNTH_THREADS or 1)",
+        help=f"{what} (default: AE_SYNTH_THREADS or 1)",
     )
 
 
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output channel file (.aecd)")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--no-noise", action="store_true")
-    _add_threads(p)
+    _add_threads(p, "accepted for symmetry; simulation runs on one thread")
 
     p = sub.add_parser("reconstruct", help="reconstruct images from channel data")
     p.add_argument("--channels", required=True)

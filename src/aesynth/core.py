@@ -177,14 +177,6 @@ class PixelGrid:
     def z_coords(self) -> np.ndarray:
         return self.origin[1] + np.arange(self.nz) * self.dz
 
-    @property
-    def max_x(self) -> float:
-        return self.origin[0] + (self.nx - 1) * self.dx
-
-    @property
-    def max_z(self) -> float:
-        return self.origin[1] + (self.nz - 1) * self.dz
-
 
 def wavelength(medium: Medium, pulse: PulseSpec) -> float:
     """Acoustic wavelength c / f_c in meters."""

@@ -13,17 +13,19 @@ spike train that is convolved with the sampled pulse waveform.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquisition import AcquisitionSpec, differential_subtract, matched_filter
+from .acquisition import AcquisitionSpec, add_thermal_noise, differential_subtract, matched_filter
 from .core import ArrayGeometry, Medium, PulseSpec, SFieldGrid
 from .errors import InvalidEventError, ValidationError
 
 DECAY_MODES = ("none", "inverse_sqrt", "inverse")
 DIRECTIVITY_MODES = ("omni", "cosine")
+
+# Element x cell lanes per table-building step and per scatter (cache-sized temporaries).
+_BLOCK_LANES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,17 +168,7 @@ def element_beam_amplitude(
     """Beam amplitude of one element at an (x, z) point under ``model``."""
     x, z = point
     ex = geometry.element_positions()[element_index]
-    amps = _element_amplitudes(
-        np.asarray([ex]), np.asarray([float(x)]), np.asarray([float(z)]), model
-    )
-    return float(amps[0, 0])
-
-
-def _element_amplitudes(
-    elem_x: np.ndarray, px: np.ndarray, pz: np.ndarray, model: PressureModel
-) -> np.ndarray:
-    """Amplitudes of elements (E,) at points (N,), returned as (E, N)."""
-    return _amplitude(px[None, :] - elem_x[:, None], pz[None, :], model)
+    return float(_amplitude(float(x) - ex, float(z), model))
 
 
 def _amplitude(dx, pz, model: PressureModel) -> np.ndarray:
@@ -197,13 +189,11 @@ def _amplitude(dx, pz, model: PressureModel) -> np.ndarray:
 
 def single_element_sequence(geometry: ArrayGeometry) -> list[TransmitEvent]:
     """One zero-delay event per element, element i alone active in event i."""
-    events = []
     m = geometry.num_elements
-    for i in range(m):
-        active = np.zeros(m, dtype=bool)
-        active[i] = True
-        events.append(TransmitEvent(delays=np.zeros(m), active=active, label=f"sa:{i}"))
-    return events
+    return [
+        TransmitEvent(delays=np.zeros(m), active=np.arange(m) == i, label=f"sa:{i}")
+        for i in range(m)
+    ]
 
 
 def focused_sequence(
@@ -250,42 +240,69 @@ def simulate_channel(
     ``amplitude_scale`` overrides the physical constant ``k_i * p0 *
     cell_area`` when a normalized amplitude unit is more convenient.
     """
+    active = _active_elements(event, geometry)
+    elem_x = geometry.element_positions()[active]
+    travel, amp = _source_tables(s_field, elem_x, medium, model, amplitude_scale)
+    return _render(travel, amp, np.arange(active.size), event.delays[active], pulse, n_samples)
+
+
+def _element_blocks(rows: int, cells: int) -> list[slice]:
+    step = max(1, _BLOCK_LANES // max(cells, 1))
+    return [slice(a, a + step) for a in range(0, rows, step)]
+
+
+def _active_elements(event: TransmitEvent, geometry: ArrayGeometry) -> np.ndarray:
     if event.delays.size != geometry.num_elements:
         raise InvalidEventError("event delay table does not match the array size")
-    waveform = pulse_waveform(pulse)
-    center = pulse_center_index(pulse)
-    fs = pulse.sample_rate
+    return np.flatnonzero(event.active)
 
+
+def _source_tables(s_field: SFieldGrid, elem_x, medium: Medium, model: PressureModel,
+                   amplitude_scale: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Travel time and signed amplitude from each element to each nonzero cell.
+
+    Both are (elements, cells), 16 bytes per pair, built a block of elements
+    at a time so the distance temporaries stay block-sized.
+    """
     zi, xi = np.nonzero(s_field.values)
-    trace = np.zeros(n_samples)
-    if zi.size == 0:
-        return trace
     sx = s_field.origin[0] + xi * s_field.dx
     sz = s_field.origin[1] + zi * s_field.dz
-    sval = s_field.values[zi, xi]
     const = amplitude_scale if amplitude_scale is not None else (
         medium.k_i * medium.p0 * s_field.cell_area
     )
-    base = -const * sval
+    base = -const * s_field.values[zi, xi]
+    travel = np.empty((elem_x.size, zi.size))
+    amp = np.empty_like(travel)
+    for blk in _element_blocks(elem_x.size, zi.size):
+        dx = sx - elem_x[blk, None]
+        travel[blk] = np.hypot(dx, sz) / medium.sos
+        amp[blk] = base * _amplitude(dx, sz, model)
+    return travel, amp
 
-    elem_x = geometry.element_positions()
-    active = np.flatnonzero(event.active)
-    beam = _element_amplitudes(elem_x[active], sx, sz, model)
-    buf = np.zeros(n_samples + waveform.size)
-    for j, i in enumerate(active):
-        r = np.hypot(sx - elem_x[i], sz)
-        tau = event.delays[i] + r / medium.sos
-        amp = base * beam[j]
-        pos = tau * fs
-        k0 = np.floor(pos).astype(np.int64)
-        frac = pos - k0
-        ok0 = (k0 >= 0) & (k0 < buf.size)
-        np.add.at(buf, k0[ok0], amp[ok0] * (1 - frac[ok0]))
-        k1 = k0 + 1
-        ok1 = (k1 >= 0) & (k1 < buf.size)
-        np.add.at(buf, k1[ok1], amp[ok1] * frac[ok1])
-    trace = np.convolve(buf, waveform)[center : center + n_samples]
-    return trace
+
+def _render(travel, amp, rows, delays, pulse: PulseSpec, n_samples: int) -> np.ndarray:
+    """Trace of the table ``rows`` firing at ``delays`` (one per row).
+
+    A block of elements is one ``np.add.at`` over two taps per arrival,
+    element-major with each element's lower taps first: the order of a loop
+    over elements, so each sample sums in the same order at any block size.
+    Off-trace taps are clipped onto the spare last slot of ``buf`` (-1 wraps).
+    """
+    if travel.shape[1] == 0:
+        return np.zeros(n_samples)
+    waveform = pulse_waveform(pulse)
+    center = pulse_center_index(pulse)
+    buf = np.zeros(n_samples + waveform.size + 1)
+    top = buf.size - 1
+    for blk in _element_blocks(rows.size, travel.shape[1]):
+        r = rows[blk]
+        pos = (delays[blk, None] + travel[r]) * pulse.sample_rate
+        lo = np.floor(pos)
+        frac = pos - lo
+        idx = np.clip(np.stack([lo, lo + 1], axis=1), -1, top).astype(np.int64)
+        w = np.stack([amp[r] * (1 - frac), amp[r] * frac], axis=1)
+        np.add.at(buf, idx.ravel(), w.ravel())
+    return np.convolve(buf[:top], waveform)[center : center + n_samples]
 
 
 def common_mode_trace(
@@ -317,7 +334,8 @@ def simulate_dataset(
     with independent averaged noise and a shared common-mode component,
     differentially subtracted, and matched-filtered with the pulse template.
     Channel ``i`` draws its noise from a generator seeded by ``(seed, i)``,
-    so results do not depend on execution order or thread count.
+    so results do not depend on execution order.  ``threads`` is accepted
+    but unused: a thread pool over events measured slower than one thread.
     """
     events = list(events)
     if not events:
@@ -325,30 +343,19 @@ def simulate_dataset(
     n = trace_length(max_depth, medium, pulse)
     template = pulse_waveform(pulse)
     cm = common_mode_trace(acquisition.common_mode_amplitude, pulse, n)
+    elem_x = geometry.element_positions()
+    travel, amp = _source_tables(s_field, elem_x, medium, model, amplitude_scale)
     channels = np.zeros((len(events), n))
-
-    def build(i: int) -> None:
-        clean = simulate_channel(
-            s_field, events[i], geometry, medium, pulse, model, n, amplitude_scale
-        )
+    for i, event in enumerate(events):
+        active = _active_elements(event, geometry)
+        clean = _render(travel, amp, active, event.delays[active], pulse, n)
         rng = np.random.default_rng((seed, i))
-        sigma2 = acquisition.noise_power
-        v_plus = clean + cm
-        v_minus = -clean + cm
-        if sigma2 > 0:
-            v_plus = v_plus + rng.normal(0.0, np.sqrt(sigma2 / acquisition.k), n)
-            v_minus = v_minus + rng.normal(0.0, np.sqrt(sigma2 / acquisition.k), n)
+        v_plus = add_thermal_noise(clean + cm, acquisition.noise_power, acquisition.k, rng)
+        v_minus = add_thermal_noise(-clean + cm, acquisition.noise_power, acquisition.k, rng)
         diff = differential_subtract(
             acquisition.rf_gain * v_plus, acquisition.rf_gain * v_minus
         )
         channels[i] = matched_filter(diff, template)
-
-    if threads > 1 and len(events) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(build, range(len(events))))
-    else:
-        for i in range(len(events)):
-            build(i)
 
     return ChannelDataSet(
         channels=channels,

@@ -9,6 +9,7 @@ detection takes the analytic-signal magnitude along depth.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -152,7 +153,7 @@ class _Scratch:
         self._buffers: dict[str, np.ndarray] = {}
 
     def __call__(self, name: str, shape, dtype=float) -> np.ndarray:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(max(size, self.capacity), dtype=dtype)

@@ -10,8 +10,10 @@ from aesynth import (
     PulseSpec,
     SFieldGrid,
     TransmitEvent,
+    differential_subtract,
     element_beam_amplitude,
     focused_sequence,
+    matched_filter,
     pulse_waveform,
     simulate_channel,
     simulate_dataset,
@@ -20,7 +22,14 @@ from aesynth import (
     trace_length,
 )
 from aesynth.errors import InvalidEventError, ValidationError
-from aesynth.forward import common_mode_trace, pulse_center_index
+from aesynth.forward import (
+    DECAY_MODES,
+    DIRECTIVITY_MODES,
+    _amplitude,
+    _element_blocks,
+    common_mode_trace,
+    pulse_center_index,
+)
 
 
 def point_field(x, z, amplitude=1.0, dx=1e-4, dz=1e-4):
@@ -60,6 +69,85 @@ def oracle_channel(s_field, event, geometry, medium, pulse, model, n, scale):
                     acc += frac * w[wl - 1]
                 out[m] += amp * acc
     return out
+
+
+def _element_amplitudes(elem_x, px, pz, model):
+    """Amplitudes of elements (E,) at points (N,), returned as (E, N)."""
+    return _amplitude(px[None, :] - elem_x[:, None], pz[None, :], model)
+
+
+def loop_channel(s_field, event, geometry, medium, pulse, model, n_samples, amplitude_scale=None):
+    """Bitwise oracle: the per-element loop with two ``np.add.at`` calls per element."""
+    if event.delays.size != geometry.num_elements:
+        raise InvalidEventError("event delay table does not match the array size")
+    waveform = pulse_waveform(pulse)
+    center = pulse_center_index(pulse)
+    fs = pulse.sample_rate
+
+    zi, xi = np.nonzero(s_field.values)
+    trace = np.zeros(n_samples)
+    if zi.size == 0:
+        return trace
+    sx = s_field.origin[0] + xi * s_field.dx
+    sz = s_field.origin[1] + zi * s_field.dz
+    sval = s_field.values[zi, xi]
+    const = amplitude_scale if amplitude_scale is not None else (
+        medium.k_i * medium.p0 * s_field.cell_area
+    )
+    base = -const * sval
+
+    elem_x = geometry.element_positions()
+    active = np.flatnonzero(event.active)
+    beam = _element_amplitudes(elem_x[active], sx, sz, model)
+    buf = np.zeros(n_samples + waveform.size)
+    for j, i in enumerate(active):
+        r = np.hypot(sx - elem_x[i], sz)
+        tau = event.delays[i] + r / medium.sos
+        amp = base * beam[j]
+        pos = tau * fs
+        k0 = np.floor(pos).astype(np.int64)
+        frac = pos - k0
+        ok0 = (k0 >= 0) & (k0 < buf.size)
+        np.add.at(buf, k0[ok0], amp[ok0] * (1 - frac[ok0]))
+        k1 = k0 + 1
+        ok1 = (k1 >= 0) & (k1 < buf.size)
+        np.add.at(buf, k1[ok1], amp[ok1] * frac[ok1])
+    trace = np.convolve(buf, waveform)[center : center + n_samples]
+    return trace
+
+
+def loop_dataset_channels(s_field, events, geometry, medium, pulse, model, acquisition,
+                          seed, max_depth, amplitude_scale=None):
+    """Bitwise oracle of ``simulate_dataset``: the loop above plus inline noise."""
+    n = trace_length(max_depth, medium, pulse)
+    template = pulse_waveform(pulse)
+    cm = common_mode_trace(acquisition.common_mode_amplitude, pulse, n)
+    channels = np.zeros((len(events), n))
+    for i, event in enumerate(events):
+        clean = loop_channel(s_field, event, geometry, medium, pulse, model, n, amplitude_scale)
+        rng = np.random.default_rng((seed, i))
+        sigma2 = acquisition.noise_power
+        v_plus = clean + cm
+        v_minus = -clean + cm
+        if sigma2 > 0:
+            v_plus = v_plus + rng.normal(0.0, np.sqrt(sigma2 / acquisition.k), n)
+            v_minus = v_minus + rng.normal(0.0, np.sqrt(sigma2 / acquisition.k), n)
+        diff = differential_subtract(
+            acquisition.rf_gain * v_plus, acquisition.rf_gain * v_minus
+        )
+        channels[i] = matched_filter(diff, template)
+    return channels
+
+
+def raw_event(delays, active):
+    """Transmit event that skips the nonnegative-delay check.
+
+    Arrivals can then land before sample 0: the only way to reach the tap
+    k0 = -1, which the scatter must drop.
+    """
+    event = TransmitEvent(delays=np.zeros(len(delays)), active=active)
+    object.__setattr__(event, "delays", np.asarray(delays, dtype=float))
+    return event
 
 
 class TestTimeOfFlight:
@@ -261,6 +349,85 @@ class TestSimulateChannel:
         assert ratio == pytest.approx(64.0, rel=0.01)
 
 
+class TestMatchesElementLoop:
+    """The blocked scatter sums every sample in the per-element loop's order."""
+
+    medium = Medium(sos=1480.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        decay=st.sampled_from(DECAY_MODES),
+        directivity=st.sampled_from(DIRECTIVITY_MODES),
+        m=st.integers(2, 9),
+        n=st.integers(4, 120),
+        kind=st.sampled_from(["tone", "impulse"]),
+        scale=st.sampled_from([None, 1.0, -2.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_channel_is_bitwise_the_loop(self, decay, directivity, m, n, kind, scale, seed):
+        rng = np.random.default_rng(seed)
+        g = ArrayGeometry(num_elements=m, pitch=0.3e-3)
+        pulse = PulseSpec(center_frequency=2e6, sample_rate=16e6, kind=kind)
+        model = PressureModel(decay=decay, r_min=2e-4, directivity=directivity)
+        values = rng.normal(size=(5, 4)) * (rng.random((5, 4)) < 0.7)
+        values[2, 1] = values[4, 3] = 1.5
+        s = SFieldGrid(origin=(-0.6e-3, rng.uniform(0, 3e-3)), dx=0.3e-3, dz=0.2e-3, values=values)
+        active = rng.random(m) < 0.6
+        active[[0, -1]] = True
+        delays = np.where(active, rng.uniform(0, 2e-6, m), 0.0)
+        # element 0 puts cell (2, 1) at sample -1 + u, element m-1 puts cell
+        # (4, 3) at buf.size - 1 + u, so its upper tap is n + len(waveform)
+        fs, ex, size = pulse.sample_rate, g.element_positions(), n + pulse.length_samples
+        for e, (iz, ix), k in ((0, (2, 1), -1), (m - 1, (4, 3), size - 1)):
+            x, z = s.origin[0] + ix * s.dx, s.origin[1] + iz * s.dz
+            delays[e] = (k + rng.uniform(0.25, 0.75)) / fs - np.hypot(x - ex[e], z) / 1480.0
+        event = raw_event(delays, active)
+        zi, xi = np.nonzero(values)
+        pos = (delays[:, None] + np.hypot(s.origin[0] + xi * s.dx - ex[:, None],
+                                          s.origin[1] + zi * s.dz) / 1480.0) * fs
+        k0 = np.floor(pos[active])
+        assert (k0 == -1).any() and (k0 + 1 == size).any()
+        got = simulate_channel(s, event, g, self.medium, pulse, model, n, scale)
+        want = loop_channel(s, event, g, self.medium, pulse, model, n, scale)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("decay", DECAY_MODES)
+    @pytest.mark.parametrize("directivity", DIRECTIVITY_MODES)
+    def test_dense_field_spans_several_blocks(self, decay, directivity):
+        rng = np.random.default_rng(17)
+        g = ArrayGeometry(num_elements=12, pitch=0.3e-3)
+        pulse = PulseSpec(center_frequency=2e6, sample_rate=16e6)
+        model = PressureModel(decay=decay, r_min=2e-4, directivity=directivity)
+        s = SFieldGrid(origin=(-3e-3, 1e-3), dx=0.1e-3, dz=0.1e-3, values=rng.normal(size=(270, 64)))
+        assert len(_element_blocks(12, 270 * 64)) >= 3
+        n = trace_length(30e-3, self.medium, pulse)
+        for event in focused_sequence(g, self.medium, 15e-3, [-1e-3, 0.7e-3]):
+            got = simulate_channel(s, event, g, self.medium, pulse, model, n)
+            want = loop_channel(s, event, g, self.medium, pulse, model, n)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", ["sa", "fus", "subset"])
+    def test_dataset_is_bitwise_the_loop_with_inline_noise(self, scheme):
+        rng = np.random.default_rng(4)
+        g = ArrayGeometry(num_elements=10, pitch=0.3e-3)
+        pulse = PulseSpec(center_frequency=2e6, sample_rate=16e6)
+        model = PressureModel(decay="inverse_sqrt", r_min=2e-4, directivity="cosine")
+        s = SFieldGrid(origin=(-1e-3, 4e-3), dx=0.2e-3, dz=0.2e-3, values=rng.normal(size=(30, 12)))
+        if scheme == "sa":
+            events = single_element_sequence(g)
+        elif scheme == "fus":
+            events = focused_sequence(g, self.medium, 8e-3, g.element_positions())
+        else:
+            masks = rng.random((6, 10)) < 0.5
+            masks[np.arange(6), np.arange(6)] = True
+            events = [TransmitEvent(delays=rng.uniform(0, 1e-6, 10), active=a) for a in masks]
+        acq = AcquisitionSpec(k=8, noise_power=0.7, common_mode_amplitude=2.0, rf_gain=1.5)
+        kw = dict(seed=9, max_depth=12e-3, amplitude_scale=None)
+        data = simulate_dataset(s, events, g, self.medium, pulse, model, acq, **kw)
+        want = loop_dataset_channels(s, events, g, self.medium, pulse, model, acq, **kw)
+        assert np.array_equal(data.channels, want)
+
+
 class TestSimulateDataset:
     def _scene(self):
         g = ArrayGeometry(num_elements=8, pitch=0.5e-3)
@@ -278,8 +445,6 @@ class TestSimulateDataset:
             s, events, g, medium, pulse, model, acq, seed=1, max_depth=15e-3,
             amplitude_scale=1.0,
         )
-        from aesynth import matched_filter
-
         n = data.num_samples
         for i, ev in enumerate(events):
             clean = simulate_channel(s, ev, g, medium, pulse, model, n, 1.0)
