@@ -1,16 +1,13 @@
 """Command-line harness: simulate, reconstruct, evaluate, paper-suite.
 
 Every run is fully determined by a scenario file plus a seed; lengths at
-this boundary are millimeters.  ``--threads`` (or the ``AE_SYNTH_THREADS``
-environment variable) parallelizes the row-level reconstruction kernels
-without changing any output byte; simulation accepts it and runs on one thread.
+this boundary are millimeters.  Every command runs on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -52,22 +49,11 @@ METRICS_HEADER = [
 ]
 
 
-def resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("AE_SYNTH_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def run_simulate(
     scenario: Scenario,
     out_path,
     seed: int | None = None,
     no_noise: bool = False,
-    threads: int = 1,
     base_dir=None,
 ) -> dict:
     """Simulate a scenario's channel data and write the binary file."""
@@ -83,7 +69,6 @@ def run_simulate(
         seed=scenario.seed if seed is None else seed,
         max_depth=scenario.reconstruction.max_depth_mm * MM,
         amplitude_scale=scenario.simulation.amplitude_scale,
-        threads=threads,
     )
     digest = aio.write_channel_file(out_path, data)
     return {
@@ -95,10 +80,16 @@ def run_simulate(
     }
 
 
-def _check_header(scenario: Scenario, data) -> None:
+def load_channels(channel_path, scenario: Scenario):
+    """Read a channel file and attach the scenario's geometry, medium and pulse.
+
+    The file's element count, pitch, speed of sound and sample rate must
+    match the scenario's.
+    """
+    data = aio.read_channel_file(channel_path)
     geometry = build_geometry(scenario)
-    pulse = build_pulse(scenario)
     medium = build_medium(scenario)
+    pulse = build_pulse(scenario)
     problems = []
     if data.geometry.num_elements != geometry.num_elements:
         problems.append("element count")
@@ -112,6 +103,7 @@ def _check_header(scenario: Scenario, data) -> None:
         raise ValidationError(
             f"channel file does not match the scenario ({', '.join(problems)})"
         )
+    return dataclasses.replace(data, geometry=geometry, medium=medium, pulse=pulse)
 
 
 def _detect_method(data) -> str:
@@ -150,7 +142,6 @@ def run_reconstruct(
     f_number: float | None = None,
     weighting: str | None = None,
     do_amplitude_correct: bool | None = None,
-    threads: int = 1,
 ) -> dict:
     """Reconstruct a channel file into image bundles.
 
@@ -158,14 +149,7 @@ def run_reconstruct(
     written.  ``*_corrected`` bundles are emitted additionally when amplitude
     correction is requested.
     """
-    data = aio.read_channel_file(channel_path)
-    _check_header(scenario, data)
-    data = dataclasses.replace(
-        data,
-        geometry=build_geometry(scenario),
-        medium=build_medium(scenario),
-        pulse=build_pulse(scenario),
-    )
+    data = load_channels(channel_path, scenario)
     detected = _detect_method(data)
     if method != "auto" and method != detected:
         raise MethodMismatchError(
@@ -178,13 +162,12 @@ def run_reconstruct(
     if do_amplitude_correct is None:
         do_amplitude_correct = recon.amplitude_correct
     grid = build_pixel_grid(scenario)
-    medium = build_medium(scenario)
-    pulse = build_pulse(scenario)
+    medium, pulse = data.medium, data.pulse
 
     written: list[str] = []
     maps = {}
     if method == METHOD_SA:
-        image, aperture = das_sa(data, grid, f_number, threads=threads)
+        image, aperture = das_sa(data, grid, f_number)
         image = envelope(image)
         final = image
         if weighting != "none":
@@ -195,7 +178,6 @@ def run_reconstruct(
                     aperture,
                     pulse_samples=pulse.length_samples,
                     centered=recon.cfpl_centered,
-                    threads=threads,
                 )
             maps[weighting] = cmap
             aio.write_values_csv(f"{out_prefix}_{weighting}_map.csv", cmap.values)
@@ -223,8 +205,7 @@ def run_reconstruct(
         if method != METHOD_SA:
             raise MethodMismatchError("amplitude correction applies to sa images only")
         beam_map = effective_beam_map(
-            build_geometry(scenario), grid, f_number, medium, pulse,
-            build_pressure_model(scenario), threads=threads,
+            data.geometry, grid, f_number, medium, pulse, build_pressure_model(scenario)
         )
         aio.write_values_csv(f"{out_prefix}_beam_map.csv", beam_map)
         aio.write_linear_pgm(f"{out_prefix}_beam_map.pgm", beam_map)
@@ -343,13 +324,6 @@ def evaluate_bundles(prefixes, scenario: Scenario, write_reports: bool = False) 
 # argparse front end
 
 
-def _add_threads(p, what="row-level worker threads"):
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help=f"{what} (default: AE_SYNTH_THREADS or 1)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aesynth",
@@ -362,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output channel file (.aecd)")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--no-noise", action="store_true")
-    _add_threads(p, "accepted for symmetry; simulation runs on one thread")
 
     p = sub.add_parser("reconstruct", help="reconstruct images from channel data")
     p.add_argument("--channels", required=True)
@@ -372,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-number", type=float, default=None)
     p.add_argument("--weighting", choices=["none", "cf", "cfpl"], default=None)
     p.add_argument("--amplitude-correct", action="store_true", default=None)
-    _add_threads(p)
 
     p = sub.add_parser("evaluate", help="compute metrics for image bundles")
     p.add_argument("prefixes", nargs="+", help="image bundle prefixes")
@@ -383,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--no-noise", action="store_true")
-    _add_threads(p)
 
     return parser
 
@@ -393,10 +364,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             scenario = load_scenario(args.scenario)
-            threads = resolve_threads(args.threads)
             info = run_simulate(
                 scenario, args.out, seed=args.seed, no_noise=args.no_noise,
-                threads=threads, base_dir=Path(args.scenario).parent,
+                base_dir=Path(args.scenario).parent,
             )
             print(
                 f"wrote {info['path']}: m_tx={info['m_tx']} t={info['t']} "
@@ -404,12 +374,10 @@ def main(argv=None) -> int:
             )
         elif args.command == "reconstruct":
             scenario = load_scenario(args.scenario)
-            threads = resolve_threads(args.threads)
             result = run_reconstruct(
                 args.channels, scenario, args.out,
                 method=args.method, f_number=args.f_number,
                 weighting=args.weighting, do_amplitude_correct=args.amplitude_correct,
-                threads=threads,
             )
             for path in result["written"]:
                 print(f"wrote {path}")
@@ -421,11 +389,7 @@ def main(argv=None) -> int:
         elif args.command == "paper-suite":
             from .suite import run_paper_suite
 
-            code = run_paper_suite(
-                args.out, seed=args.seed, no_noise=args.no_noise,
-                threads=resolve_threads(args.threads),
-            )
-            return code
+            return run_paper_suite(args.out, seed=args.seed, no_noise=args.no_noise)
     except AesynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

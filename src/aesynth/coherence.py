@@ -30,7 +30,6 @@ from .reconstruct import (
     _Scratch,
     _gather,
     _lane_elements,
-    _run_rows,
     _sub_aperture_windows,
     envelope,
 )
@@ -107,7 +106,9 @@ def coherence_factor_pl(
     Instants with zero energy contribute 0 to the mean.
 
     Each depth row gathers all instants at once, (pulse_samples, nx, w)
-    samples for the row's w lanes, into buffers reused across rows.
+    samples for the row's w lanes, into buffers reused across rows.  Rows
+    run in one loop on the calling thread; ``threads`` is accepted and
+    ignored.
     """
     if pulse_samples < 1:
         raise ValidationError("pulse_samples must be >= 1")
@@ -117,25 +118,19 @@ def coherence_factor_pl(
     offsets = offsets.astype(float)[:, None, None]
     nz, nx = samples.grid.nz, samples.grid.nx
     total = np.zeros((nz, nx))
-    widths = _row_widths(samples)
-
-    def do_rows(rows):
-        scratch = _Scratch(pulse_samples * nx * samples.samples.shape[2])
-        for iz in rows:
-            w = widths[iz]
-            shape = (pulse_samples, nx, w)
-            pos = np.add(samples.positions[iz, :, :w], offsets, out=scratch("pos", shape))
-            elem = _lane_elements(samples.start[iz], w, samples.num_elements)
-            vals, support = _gather(samples.channels, elem, pos, scratch)
-            valid = np.logical_and(samples.member[iz, :, :w], support, out=support)
-            invalid = np.logical_not(valid, out=scratch("invalid", shape, bool))
-            np.copyto(vals, 0.0, where=invalid)
-            # a running sum in instant order, whatever the row's shape
-            acc = total[iz]
-            for cf in _cf_values(vals, valid, scratch):
-                acc += cf
-
-    _run_rows(do_rows, nz, threads)
+    scratch = _Scratch(pulse_samples * nx * samples.samples.shape[2])
+    for iz, w in enumerate(_row_widths(samples)):
+        shape = (pulse_samples, nx, w)
+        pos = np.add(samples.positions[iz, :, :w], offsets, out=scratch("pos", shape))
+        elem = _lane_elements(samples.start[iz], w, samples.num_elements)
+        vals, support = _gather(samples.channels, elem, pos, scratch)
+        valid = np.logical_and(samples.member[iz, :, :w], support, out=support)
+        invalid = np.logical_not(valid, out=scratch("invalid", shape, bool))
+        np.copyto(vals, 0.0, where=invalid)
+        # a running sum in instant order, whatever the row's shape
+        acc = total[iz]
+        for cf in _cf_values(vals, valid, scratch):
+            acc += cf
     cfpl = total / pulse_samples
     return CoherenceMap(
         grid=samples.grid, values=cfpl, kind=KIND_CFPL, pulse_samples=pulse_samples
@@ -170,7 +165,8 @@ def effective_beam_map(
     with a constant-amplitude pressure model it equals the local element
     count, growing with depth and dimming near the lateral edges.  ``medium``
     and ``pulse`` are accepted for interface stability with frequency-aware
-    pressure models.
+    pressure models.  Rows run in one loop on the calling thread;
+    ``threads`` is accepted and ignored.
     """
     del medium, pulse
     m = geometry.num_elements
@@ -181,14 +177,11 @@ def effective_beam_map(
     span = hi - lo
     out = np.zeros((grid.nz, grid.nx))
 
-    def do_rows(rows):
-        for iz in rows:
-            w = int(span[iz].max()) + 1
-            elem = _lane_elements(lo[iz], w, m)
-            amp = _amplitude(xs[:, None] - elem_x[elem], zs[iz], model)
-            out[iz] = np.where(np.arange(w) <= span[iz][:, None], amp, 0.0).sum(axis=1)
-
-    _run_rows(do_rows, grid.nz, threads)
+    for iz in range(grid.nz):
+        w = int(span[iz].max()) + 1
+        elem = _lane_elements(lo[iz], w, m)
+        amp = _amplitude(xs[:, None] - elem_x[elem], zs[iz], model)
+        out[iz] = np.where(np.arange(w) <= span[iz][:, None], amp, 0.0).sum(axis=1)
     return out
 
 

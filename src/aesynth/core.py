@@ -60,23 +60,19 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class Medium:
-    """Homogeneous propagation medium and receive-chain noise level.
+    """Homogeneous propagation medium.
 
-    ``k_i`` is the fractional resistivity change per unit pressure (1/Pa),
-    ``p0`` the transmit pressure amplitude (Pa) and ``noise_power`` the
-    per-sample thermal noise variance (V^2) before any averaging.
+    ``k_i`` is the fractional resistivity change per unit pressure (1/Pa)
+    and ``p0`` the transmit pressure amplitude (Pa).
     """
 
     sos: float
     k_i: float = 1.0
     p0: float = 1.0
-    noise_power: float = 0.0
 
     def __post_init__(self):
         if not self.sos > 0:
             raise ValidationError("sos must be > 0")
-        if self.noise_power < 0:
-            raise ValidationError("noise_power must be >= 0")
 
 
 @dataclass(frozen=True)

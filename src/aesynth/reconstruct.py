@@ -10,7 +10,6 @@ detection takes the analytic-signal magnitude along depth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -207,7 +206,9 @@ def das_sa(
     interpolation) at that element's time of flight to the pixel and the
     samples are summed in ascending element order.  Samples outside the
     recorded trace contribute zero and are excluded from the valid count.
-    Only the window elements are gathered (see ``ApertureSamples``).
+    Only the window elements are gathered (see ``ApertureSamples``).  Rows
+    run in one loop on the calling thread; ``threads`` is accepted and
+    ignored.
     """
     geometry = data.geometry
     m = geometry.num_elements
@@ -241,23 +242,20 @@ def das_sa(
     valid = np.zeros(shape, dtype=bool)
     positions = np.full(shape, -1.0)
 
-    def do_rows(rows):
-        for iz in rows:
-            w = int(span[iz].max()) + 1
-            elem = _lane_elements(lo[iz], w, m)
-            row_member = (np.arange(w) <= span[iz][:, None]) & has_channel[elem]
-            tau = elem_delay[elem] + np.hypot(xs[:, None] - elem_x[elem], zs[iz]) / c
-            pos = (tau - data.t0) * fs
-            vals, support = _gather(channels, elem, pos)
-            row_valid = row_member & support
-            vals = np.where(row_valid, vals, 0.0)
-            values[iz] = vals.sum(axis=1)
-            samples[iz, :, :w] = vals
-            member[iz, :, :w] = row_member
-            valid[iz, :, :w] = row_valid
-            positions[iz, :, :w] = pos
-
-    _run_rows(do_rows, grid.nz, threads)
+    for iz in range(grid.nz):
+        w = int(span[iz].max()) + 1
+        elem = _lane_elements(lo[iz], w, m)
+        row_member = (np.arange(w) <= span[iz][:, None]) & has_channel[elem]
+        tau = elem_delay[elem] + np.hypot(xs[:, None] - elem_x[elem], zs[iz]) / c
+        pos = (tau - data.t0) * fs
+        vals, support = _gather(channels, elem, pos)
+        row_valid = row_member & support
+        vals = np.where(row_valid, vals, 0.0)
+        values[iz] = vals.sum(axis=1)
+        samples[iz, :, :w] = vals
+        member[iz, :, :w] = row_member
+        valid[iz, :, :w] = row_valid
+        positions[iz, :, :w] = pos
 
     aperture = ApertureSamples(
         grid=grid,
@@ -276,20 +274,6 @@ def das_sa(
         coverage=valid.sum(axis=2),
     )
     return image, aperture
-
-
-def _run_rows(fn, nz: int, threads: int) -> None:
-    """Run ``fn`` over depth-row chunks, optionally on a thread pool.
-
-    Each row is computed independently and written to its own output slice,
-    so results are bitwise identical for any thread count.
-    """
-    if threads <= 1 or nz == 1:
-        fn(range(nz))
-        return
-    chunks = np.array_split(np.arange(nz), min(threads, nz))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, chunks))
 
 
 def fus_line_map(

@@ -452,12 +452,7 @@ def build_geometry(s: Scenario) -> ArrayGeometry:
 
 
 def build_medium(s: Scenario) -> Medium:
-    return Medium(
-        sos=s.medium.sos,
-        k_i=s.medium.k_i,
-        p0=s.medium.p0,
-        noise_power=s.acquisition.noise_power,
-    )
+    return Medium(sos=s.medium.sos, k_i=s.medium.k_i, p0=s.medium.p0)
 
 
 def build_pulse(s: Scenario) -> PulseSpec:

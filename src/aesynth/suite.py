@@ -18,15 +18,13 @@ import numpy as np
 import yaml
 
 from . import io as aio
-from .cli import METRICS_HEADER, evaluate_bundles, run_reconstruct, run_simulate
+from .cli import METRICS_HEADER, evaluate_bundles, load_channels, run_reconstruct, run_simulate
 from .coherence import coherence_factor
 from .metrics import peak_pixel
 from .reconstruct import das_sa
 from .scenario import (
     Scenario,
-    build_geometry,
-    build_medium,
-    build_pulse,
+    build_pixel_grid,
     build_targets,
     scenario_from_dict,
     shift_depth,
@@ -77,16 +75,6 @@ class Checks:
         ]
 
 
-def _load_dataset(path, scenario):
-    data = aio.read_channel_file(path)
-    return dataclasses.replace(
-        data,
-        geometry=build_geometry(scenario),
-        medium=build_medium(scenario),
-        pulse=build_pulse(scenario),
-    )
-
-
 def _pool(rows, medium_name, method, weighting, key, group=None):
     vals = [
         r[key]
@@ -103,6 +91,10 @@ def _pool(rows, medium_name, method, weighting, key, group=None):
 
 
 def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int = 1) -> int:
+    """Run the experiment matrix into ``out_dir``; 0 if every check passes.
+
+    ``threads`` is accepted and ignored: every job runs on the calling thread.
+    """
     out = Path(out_dir)
     channels_dir = out / "channels"
     images_dir = out / "images"
@@ -124,7 +116,7 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
             for scheme in ("sa", "fus"):
                 variant = _with_scheme(scene, scheme)
                 ch_path = channels_dir / f"{scene_tag}_{scheme}.aecd"
-                info = run_simulate(variant, ch_path, no_noise=no_noise, threads=threads)
+                info = run_simulate(variant, ch_path, no_noise=no_noise)
                 summary.append(
                     f"{scene_tag}_{scheme}: m_tx={info['m_tx']} t={info['t']} sha256={info['sha256'][:16]}"
                 )
@@ -132,7 +124,7 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
                     prefix = str(images_dir / f"{scene_tag}_fus")
                     run_reconstruct(
                         ch_path, variant, prefix, weighting="none",
-                        do_amplitude_correct=False, threads=threads,
+                        do_amplitude_correct=False,
                     )
                     prefixes.append(prefix)
                 else:
@@ -141,7 +133,7 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
                         prefix = str(images_dir / f"{scene_tag}_{tag}")
                         run_reconstruct(
                             ch_path, variant, prefix, weighting=weighting,
-                            do_amplitude_correct=False, threads=threads,
+                            do_amplitude_correct=False,
                         )
                         prefixes.append(prefix)
             rows = evaluate_bundles(prefixes, scene)
@@ -249,10 +241,10 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
     # amplitude-correction pair scene (noise-free by construction)
     pair = dataclasses.replace(bundled_scenario("depth_pair"), seed=seed)
     ch_path = channels_dir / "depth_pair_sa.aecd"
-    run_simulate(pair, ch_path, no_noise=no_noise, threads=threads)
+    run_simulate(pair, ch_path, no_noise=no_noise)
     result = run_reconstruct(
         ch_path, pair, str(images_dir / "depth_pair_sa"),
-        weighting="none", do_amplitude_correct=True, threads=threads,
+        weighting="none", do_amplitude_correct=True,
     )
     targets = build_targets(pair)
     shallow, deep = targets[0], targets[1]
@@ -280,19 +272,16 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
                 sham, acquisition=dataclasses.replace(sham.acquisition, averages=k)
             )
             ch_path = channels_dir / f"sham_k{k}.aecd"
-            run_simulate(variant, ch_path, threads=threads)
+            run_simulate(variant, ch_path)
             result = run_reconstruct(
                 ch_path, variant, str(images_dir / f"sham_k{k}"),
-                weighting="none", do_amplitude_correct=False, threads=threads,
+                weighting="none", do_amplitude_correct=False,
             )
             bg_means.append(float(result["image"].envelope.mean()))
             if k == SHAM_AVERAGES[0]:
-                data = _load_dataset(ch_path, variant)
-                from .scenario import build_pixel_grid
-
                 _, aperture = das_sa(
-                    data, build_pixel_grid(variant),
-                    variant.reconstruction.f_number, threads=threads,
+                    load_channels(ch_path, variant), build_pixel_grid(variant),
+                    variant.reconstruction.f_number,
                 )
                 cf = coherence_factor(aperture)
                 count = aperture.valid_count()

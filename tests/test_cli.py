@@ -186,14 +186,3 @@ class TestEvaluate:
         (row,) = list(csv.DictReader(open(out_csv)))
         assert abs(float(row["peak_x_mm"]) - 0.0) < 0.4
         assert abs(float(row["peak_z_mm"]) - 10.0) < 0.4
-
-
-class TestThreadsEnv:
-    def test_env_fallback(self, monkeypatch):
-        from aesynth.cli import resolve_threads
-
-        monkeypatch.setenv("AE_SYNTH_THREADS", "6")
-        assert resolve_threads(None) == 6
-        assert resolve_threads(3) == 3
-        monkeypatch.setenv("AE_SYNTH_THREADS", "junk")
-        assert resolve_threads(None) == 1

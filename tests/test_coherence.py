@@ -379,6 +379,10 @@ class TestEffectiveBeamMap:
         grid = default_pixel_grid(g, medium, pulse, 40e-3)
         bm = effective_beam_map(g, grid, 1.5, medium, pulse, model)
         assert bm[-1, 0] < bm[-1, grid.nx // 2]
+        # the threads keyword is accepted and changes nothing
+        assert np.array_equal(
+            effective_beam_map(g, grid, 1.5, medium, pulse, model, threads=2), bm
+        )
 
     def test_decay_model_lowers_amplitude(self):
         g, medium, pulse, _ = make_scene()

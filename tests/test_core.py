@@ -157,7 +157,3 @@ class TestValidation:
     def test_pixel_grid_bounds(self):
         with pytest.raises(ValidationError):
             PixelGrid(origin=(0, 0), dx=1e-3, dz=1e-3, nx=0, nz=1)
-
-    def test_medium_negative_noise(self):
-        with pytest.raises(ValidationError):
-            Medium(sos=1480.0, noise_power=-1.0)

@@ -119,9 +119,9 @@ class TestBuilders:
         model = build_pressure_model(s)
         assert model.r_min == pytest.approx(0.2e-3)
         medium = build_medium(s)
-        assert medium.sos == 1500.0 and medium.noise_power == 0.5
+        assert medium.sos == 1500.0
         acq = build_acquisition(s)
-        assert acq.k == 8 and acq.rf_gain == 2.0
+        assert acq.k == 8 and acq.rf_gain == 2.0 and acq.noise_power == 0.5
         assert build_pulse(s).length_samples >= 1
 
     def test_no_noise_override(self):
