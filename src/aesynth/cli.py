@@ -134,6 +134,92 @@ def _write_image_bundle(prefix: str, image: BeamformedImage, meta: dict) -> list
     return [f"{prefix}_values.csv", f"{prefix}_envelope.pgm", f"{prefix}_meta.txt"]
 
 
+def reconstruct_bundles(
+    data,
+    scenario: Scenario,
+    prefixes: dict,
+    source_channels,
+    method: str = "auto",
+    f_number: float | None = None,
+    do_amplitude_correct: bool | None = None,
+) -> dict:
+    """Reconstruct loaded channels once and write one image bundle per weighting.
+
+    ``prefixes`` maps each weighting (``none``, ``cf``, ``cfpl``) to its
+    output prefix; a ``None`` prefix computes that weighting without writing
+    it.  Single-element data is beamformed once and every coherence map comes
+    from that one aperture.  Returns the final image and, with amplitude
+    correction, the corrected image of every weighting, plus the maps and
+    every file written.
+    """
+    detected = _detect_method(data)
+    if method != "auto" and method != detected:
+        raise MethodMismatchError(
+            f"requested {method} reconstruction but the file holds {detected} events"
+        )
+    recon = scenario.reconstruction
+    f_number = recon.f_number if f_number is None else f_number
+    if do_amplitude_correct is None:
+        do_amplitude_correct = recon.amplitude_correct
+    grid = build_pixel_grid(scenario)
+    medium, pulse = data.medium, data.pulse
+
+    images, maps = {}, {}
+    if detected == METHOD_SA:
+        image, aperture = das_sa(data, grid, f_number)
+        image = envelope(image)
+        for weighting in prefixes:
+            if weighting == "cf":
+                maps[weighting] = coherence_factor(aperture)
+            elif weighting != "none":
+                maps[weighting] = coherence_factor_pl(
+                    aperture, pulse_samples=pulse.length_samples, centered=recon.cfpl_centered
+                )
+            images[weighting] = apply_weighting(image, maps[weighting]) if weighting in maps else image
+    elif any(weighting != "none" for weighting in prefixes):
+        raise MethodMismatchError("coherence weighting needs single-element (sa) channel data")
+    else:
+        images["none"] = envelope(fus_line_map(data, grid, medium))
+
+    written: list[str] = []
+    corrected = {}
+    beam_map = None
+    for weighting, prefix in prefixes.items():
+        if prefix is None:
+            continue
+        if weighting in maps:
+            cmap = maps[weighting].values
+            aio.write_values_csv(f"{prefix}_{weighting}_map.csv", cmap)
+            aio.write_linear_pgm(f"{prefix}_{weighting}_map.pgm", cmap, peak=1.0)
+            written += [f"{prefix}_{weighting}_map.csv", f"{prefix}_{weighting}_map.pgm"]
+        meta = {
+            "weighting": weighting,
+            "amplitude_correct": "false",
+            "scenario": scenario.name,
+            "source_channels": str(source_channels),
+            "sample_rate": repr(data.sample_rate),
+        }
+        written += _write_image_bundle(prefix, images[weighting], meta)
+        if not do_amplitude_correct:
+            continue
+        if detected != METHOD_SA:
+            raise MethodMismatchError("amplitude correction applies to sa images only")
+        if beam_map is None:
+            beam_map = effective_beam_map(
+                data.geometry, grid, f_number, medium, pulse, build_pressure_model(scenario)
+            )
+        aio.write_values_csv(f"{prefix}_beam_map.csv", beam_map)
+        aio.write_linear_pgm(f"{prefix}_beam_map.pgm", beam_map)
+        corrected[weighting] = amplitude_correct(images[weighting], beam_map)
+        meta["amplitude_correct"] = "true"
+        written += [f"{prefix}_beam_map.csv", f"{prefix}_beam_map.pgm"]
+        written += _write_image_bundle(f"{prefix}_corrected", corrected[weighting], meta)
+
+    return {
+        "images": images, "corrected": corrected, "maps": maps, "method": detected, "written": written,
+    }
+
+
 def run_reconstruct(
     channel_path,
     scenario: Scenario,
@@ -149,79 +235,14 @@ def run_reconstruct(
     written.  ``*_corrected`` bundles are emitted additionally when amplitude
     correction is requested.
     """
-    data = load_channels(channel_path, scenario)
-    detected = _detect_method(data)
-    if method != "auto" and method != detected:
-        raise MethodMismatchError(
-            f"requested {method} reconstruction but the file holds {detected} events"
-        )
-    method = detected
-    recon = scenario.reconstruction
-    f_number = recon.f_number if f_number is None else f_number
-    weighting = recon.weighting if weighting is None else weighting
-    if do_amplitude_correct is None:
-        do_amplitude_correct = recon.amplitude_correct
-    grid = build_pixel_grid(scenario)
-    medium, pulse = data.medium, data.pulse
-
-    written: list[str] = []
-    maps = {}
-    if method == METHOD_SA:
-        image, aperture = das_sa(data, grid, f_number)
-        image = envelope(image)
-        final = image
-        if weighting != "none":
-            if weighting == "cf":
-                cmap = coherence_factor(aperture)
-            else:
-                cmap = coherence_factor_pl(
-                    aperture,
-                    pulse_samples=pulse.length_samples,
-                    centered=recon.cfpl_centered,
-                )
-            maps[weighting] = cmap
-            aio.write_values_csv(f"{out_prefix}_{weighting}_map.csv", cmap.values)
-            aio.write_linear_pgm(f"{out_prefix}_{weighting}_map.pgm", cmap.values, peak=1.0)
-            written += [f"{out_prefix}_{weighting}_map.csv", f"{out_prefix}_{weighting}_map.pgm"]
-            final = apply_weighting(image, cmap)
-    else:
-        if weighting != "none":
-            raise MethodMismatchError(
-                "coherence weighting needs single-element (sa) channel data"
-            )
-        final = envelope(fus_line_map(data, grid, medium))
-
-    meta = {
-        "weighting": weighting,
-        "amplitude_correct": "false",
-        "scenario": scenario.name,
-        "source_channels": str(channel_path),
-        "sample_rate": repr(data.sample_rate),
-    }
-    written += _write_image_bundle(out_prefix, final, meta)
-
-    corrected = None
-    if do_amplitude_correct:
-        if method != METHOD_SA:
-            raise MethodMismatchError("amplitude correction applies to sa images only")
-        beam_map = effective_beam_map(
-            data.geometry, grid, f_number, medium, pulse, build_pressure_model(scenario)
-        )
-        aio.write_values_csv(f"{out_prefix}_beam_map.csv", beam_map)
-        aio.write_linear_pgm(f"{out_prefix}_beam_map.pgm", beam_map)
-        corrected = amplitude_correct(final, beam_map)
-        meta_c = dict(meta)
-        meta_c["amplitude_correct"] = "true"
-        written += [f"{out_prefix}_beam_map.csv", f"{out_prefix}_beam_map.pgm"]
-        written += _write_image_bundle(f"{out_prefix}_corrected", corrected, meta_c)
-
-    return {
-        "image": final,
-        "corrected": corrected,
-        "maps": maps,
-        "method": method,
-        "written": written,
-    }
+    weighting = scenario.reconstruction.weighting if weighting is None else weighting
+    result = reconstruct_bundles(
+        load_channels(channel_path, scenario), scenario, {weighting: out_prefix},
+        channel_path, method, f_number, do_amplitude_correct,
+    )
+    result["image"] = result.pop("images")[weighting]
+    result["corrected"] = result["corrected"].get(weighting)
+    return result
 
 
 def load_image_bundle(prefix: str) -> tuple[BeamformedImage, dict]:
@@ -248,17 +269,27 @@ def _mean_or_none(values):
 
 
 def evaluate_bundles(prefixes, scenario: Scenario, write_reports: bool = False) -> list[dict]:
-    """Metric rows for image bundles: one row per (image, target) plus group means.
+    """Metric rows for image bundles read back from their files (see ``evaluate_images``)."""
+    images = []
+    for prefix in prefixes:
+        image, meta = load_image_bundle(prefix)
+        images.append((prefix, image, meta.get("weighting", "none")))
+    return evaluate_images(images, scenario, write_reports)
 
-    With ``write_reports`` each bundle also gets a flat key-value
-    ``*_metrics.txt`` next to its image files.
+
+def evaluate_images(images, scenario: Scenario, write_reports: bool = False) -> list[dict]:
+    """Metric rows for images: one row per (image, target) plus group means.
+
+    ``images`` holds ``(prefix, image, weighting)`` triples, each image with
+    its envelope; a row names its image by the prefix's file name.  With
+    ``write_reports`` each image also gets a flat key-value
+    ``<prefix>_metrics.txt``.
     """
     targets = build_targets(scenario)
     rows = []
     group_rows = []
     groups = sorted({t.group for t in targets if t.group})
-    for prefix in prefixes:
-        image, meta = load_image_bundle(prefix)
+    for prefix, image, weighting in images:
         report = evaluate_targets(image, targets)
         if write_reports:
             aio.write_metrics_text(f"{prefix}_metrics.txt", report)
@@ -266,8 +297,8 @@ def evaluate_bundles(prefixes, scenario: Scenario, write_reports: bool = False) 
         for tm in report.targets:
             rows.append({
                 "image": name,
-                "method": meta["method"],
-                "weighting": meta.get("weighting", "none"),
+                "method": image.method,
+                "weighting": weighting,
                 "target": tm.label,
                 "group": tm.group or "",
                 "status": "error" if tm.error else "ok",
@@ -284,8 +315,8 @@ def evaluate_bundles(prefixes, scenario: Scenario, write_reports: bool = False) 
                 continue
             group_rows.append({
                 "image": name,
-                "method": meta["method"],
-                "weighting": meta.get("weighting", "none"),
+                "method": image.method,
+                "weighting": weighting,
                 "target": f"mean({group})",
                 "group": group,
                 "status": "ok" if all(m.error is None for m in members) else "partial",

@@ -47,6 +47,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHIdddd")
 _U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
+MAX_ELEMENTS = _U16_MAX  # the element count M is stored as a u16
 
 LOG_COMPRESSION_DB = 40.0
 
@@ -90,7 +91,7 @@ def channel_file_bytes(data: ChannelDataSet) -> bytes:
     for name, value, limit in (
         ("transmit events M_tx", m_tx, _U16_MAX),
         ("samples per trace T", t, _U32_MAX),
-        ("array elements M", m, _U16_MAX),
+        ("array elements M", m, MAX_ELEMENTS),
     ):
         if value > limit:
             raise FileFormatError(f"{name} = {value} exceeds the format's limit of {limit}")
@@ -178,8 +179,10 @@ def read_channel_file(path) -> ChannelDataSet:
 
 
 def write_values_csv(path, values: np.ndarray) -> None:
-    """CSV export, one row per depth sample."""
-    rows = [",".join(f"{v:.10e}" for v in row) for row in np.atleast_2d(values)]
+    """CSV export, one row per depth sample, every value as ``%.10e``."""
+    values = np.atleast_2d(values)
+    fmt = ",".join(["%.10e"] * values.shape[1])
+    rows = [fmt % tuple(row) for row in values.tolist()]
     atomic_write_bytes(path, ("\n".join(rows) + "\n").encode())
 
 

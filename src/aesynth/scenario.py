@@ -9,6 +9,8 @@ raise :class:`ScenarioError` carrying the offending field path.
 
 from __future__ import annotations
 
+import sys
+import zipfile
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from .core import (
 )
 from .errors import ScenarioError
 from .forward import PressureModel, focused_sequence, single_element_sequence
+from .io import MAX_ELEMENTS
 from .metrics import Rect, TargetSpec
 
 MM = 1e-3
@@ -52,6 +55,8 @@ def _take(d: dict, key: str, path: str, kind, default=_REQUIRED):
     if kind is float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ScenarioError(full, f"expected a number, got {v!r}")
+        if not abs(v) <= sys.float_info.max:  # nan, +-inf, or an int past the float range
+            raise ScenarioError(full, f"expected a finite number, got {v!r}")
         return float(v)
     if kind is int:
         if isinstance(v, bool) or not isinstance(v, int):
@@ -195,6 +200,8 @@ def scenario_from_dict(doc: dict, path: str = "scenario") -> Scenario:
     doc = _mapping(doc, path)
     name = _take(doc, "name", path, str)
     seed = _take(doc, "seed", path, int)
+    if seed < 0:
+        raise ScenarioError(f"{path}.seed", "must be >= 0")
     description = _take(doc, "description", path, str, "")
 
     g = _mapping(doc.pop("geometry", None), f"{path}.geometry")
@@ -204,8 +211,8 @@ def scenario_from_dict(doc: dict, path: str = "scenario") -> Scenario:
         center_x_mm=_take(g, "center_x_mm", f"{path}.geometry", float, 0.0),
     )
     _no_extras(g, f"{path}.geometry")
-    if geometry.num_elements < 1:
-        raise ScenarioError(f"{path}.geometry.num_elements", "must be >= 1")
+    if not 1 <= geometry.num_elements <= MAX_ELEMENTS:
+        raise ScenarioError(f"{path}.geometry.num_elements", f"must be in [1, {MAX_ELEMENTS}]")
     if geometry.pitch_mm <= 0:
         raise ScenarioError(f"{path}.geometry.pitch_mm", "must be > 0")
 
@@ -515,13 +522,23 @@ def build_s_field(s: Scenario, base_dir=None) -> SFieldGrid:
         p = Path(files[0].path)
         if base_dir is not None and not p.is_absolute():
             p = Path(base_dir) / p
-        with np.load(p) as npz:
-            return SFieldGrid(
-                origin=(float(npz["origin_x"]), float(npz["origin_z"])),
-                dx=float(npz["dx"]),
-                dz=float(npz["dz"]),
-                values=np.asarray(npz["values"], dtype=float),
-            )
+        where = "scenario.sources[0].path"
+        keys = ("origin_x", "origin_z", "dx", "dz", "values")
+        try:
+            # a plain .npy loads as an array, which is no context manager (TypeError)
+            with np.load(p, allow_pickle=False) as npz:
+                fields = {key: npz[key] for key in keys if key in npz.files}
+        except (OSError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+            raise ScenarioError(where, f"cannot read {p} as an .npz archive: {exc}") from exc
+        missing = [key for key in keys if key not in fields]
+        if missing:
+            raise ScenarioError(where, f"{p} has no key {', '.join(missing)}")
+        return SFieldGrid(
+            origin=(float(fields["origin_x"]), float(fields["origin_z"])),
+            dx=float(fields["dx"]),
+            dz=float(fields["dz"]),
+            values=np.asarray(fields["values"], dtype=float),
+        )
 
     grid = build_pixel_grid(s)
     values = np.zeros((grid.nz, grid.nx))

@@ -18,17 +18,11 @@ import numpy as np
 import yaml
 
 from . import io as aio
-from .cli import METRICS_HEADER, evaluate_bundles, load_channels, run_reconstruct, run_simulate
-from .coherence import coherence_factor
-from .metrics import peak_pixel
-from .reconstruct import das_sa
-from .scenario import (
-    Scenario,
-    build_pixel_grid,
-    build_targets,
-    scenario_from_dict,
-    shift_depth,
+from .cli import (
+    METRICS_HEADER, evaluate_images, load_channels, reconstruct_bundles, run_reconstruct, run_simulate,
 )
+from .metrics import peak_pixel
+from .scenario import Scenario, build_targets, scenario_from_dict, shift_depth
 
 MM = 1e-3
 DEPTH_SHIFTS_MM = (0.0, 10.0, 20.0)
@@ -63,6 +57,11 @@ class Checks:
 
     def add(self, name: str, ok: bool, detail: str) -> None:
         self.entries.append((name, bool(ok), detail))
+
+    def order(self, name: str, lhs, op: str, rhs, unit: str) -> None:
+        """Check ``lhs < rhs`` or ``lhs > rhs``; skipped when either side is missing."""
+        if lhs is not None and rhs is not None:
+            self.add(name, lhs < rhs if op == "<" else lhs > rhs, f"{lhs:.2f} vs {rhs:.2f} {unit}")
 
     @property
     def all_ok(self) -> bool:
@@ -112,7 +111,7 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
         for shift in DEPTH_SHIFTS_MM:
             scene = _with_groups(shift_depth(base, shift))
             scene_tag = f"{medium_name}_d{int(shift):02d}"
-            prefixes = []
+            images = []
             for scheme in ("sa", "fus"):
                 variant = _with_scheme(scene, scheme)
                 ch_path = channels_dir / f"{scene_tag}_{scheme}.aecd"
@@ -120,23 +119,17 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
                 summary.append(
                     f"{scene_tag}_{scheme}: m_tx={info['m_tx']} t={info['t']} sha256={info['sha256'][:16]}"
                 )
-                if scheme == "fus":
-                    prefix = str(images_dir / f"{scene_tag}_fus")
-                    run_reconstruct(
-                        ch_path, variant, prefix, weighting="none",
-                        do_amplitude_correct=False,
-                    )
-                    prefixes.append(prefix)
-                else:
-                    for weighting in ("none", "cf", "cfpl"):
-                        tag = "sa" if weighting == "none" else f"sa_{weighting}"
-                        prefix = str(images_dir / f"{scene_tag}_{tag}")
-                        run_reconstruct(
-                            ch_path, variant, prefix, weighting=weighting,
-                            do_amplitude_correct=False,
-                        )
-                        prefixes.append(prefix)
-            rows = evaluate_bundles(prefixes, scene)
+                weightings = ("none", "cf", "cfpl") if scheme == "sa" else ("none",)
+                prefixes = {
+                    w: str(images_dir / f"{scene_tag}_{scheme}{'' if w == 'none' else '_' + w}")
+                    for w in weightings
+                }
+                result = reconstruct_bundles(
+                    load_channels(ch_path, variant), variant, prefixes, ch_path,
+                    do_amplitude_correct=False,
+                )
+                images += [(prefixes[w], result["images"][w], w) for w in weightings]
+            rows = evaluate_images(images, scene)
             for r in rows:
                 r["scene"] = scene_tag
             all_rows.extend(rows)
@@ -171,72 +164,40 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
         # Point targets keep their lateral advantage unweighted; the uniform
         # disc images with a coherent halo, so its lateral check uses the
         # CF-weighted image and the axial one stays unweighted.
-        for mname in (medium_name,):
-            lr_fus = _pool(all_rows, mname, "fus", "none", "lr_mm", group="off_focus")
-            if medium_name == "saline-points":
-                lr_sa = _pool(all_rows, mname, "sa", "none", "lr_mm", group="off_focus")
-                if lr_sa is not None and lr_fus is not None:
-                    checks.add(
-                        f"{mname} off-focus LR: sa < fus",
-                        lr_sa < lr_fus,
-                        f"{lr_sa:.2f} vs {lr_fus:.2f} mm",
-                    )
-            else:
-                ar_sa = _pool(all_rows, mname, "sa", "none", "ar_mm", group="off_focus")
-                ar_fus = _pool(all_rows, mname, "fus", "none", "ar_mm", group="off_focus")
-                if ar_sa is not None and ar_fus is not None:
-                    checks.add(
-                        f"{mname} off-focus AR: sa < fus",
-                        ar_sa < ar_fus,
-                        f"{ar_sa:.2f} vs {ar_fus:.2f} mm",
-                    )
-                lr_cf = _pool(all_rows, mname, "sa", "cf", "lr_mm", group="off_focus")
-                if lr_cf is not None and lr_fus is not None:
-                    checks.add(
-                        f"{mname} off-focus LR: cf-sa < fus",
-                        lr_cf < lr_fus,
-                        f"{lr_cf:.2f} vs {lr_fus:.2f} mm",
-                    )
-            if not no_noise:
-                snr = {
-                    tag: _pool(all_rows, mname, m, w, "snr_db")
-                    for tag, (m, w) in {
-                        "fus": ("fus", "none"),
-                        "sa": ("sa", "none"),
-                        "cf": ("sa", "cf"),
-                        "cfpl": ("sa", "cfpl"),
-                    }.items()
-                }
-                if all(v is not None for v in snr.values()):
-                    checks.add(
-                        f"{mname} SNR: sa < fus",
-                        snr["sa"] < snr["fus"],
-                        f"{snr['sa']:.2f} vs {snr['fus']:.2f} dB",
-                    )
-                    checks.add(
-                        f"{mname} SNR: cf-sa > sa",
-                        snr["cf"] > snr["sa"],
-                        f"{snr['cf']:.2f} vs {snr['sa']:.2f} dB",
-                    )
-                    checks.add(
-                        f"{mname} SNR: cfpl-sa > cf-sa",
-                        snr["cfpl"] > snr["cf"],
-                        f"{snr['cfpl']:.2f} vs {snr['cf']:.2f} dB",
-                    )
-                    # the disc's structured arc leakage leaves cf-vs-fus
-                    # seed-marginal; the point scene carries that check and
-                    # the stronger cfpl weighting carries it for the disc
-                    if medium_name == "saline-points":
-                        checks.add(
-                            f"{mname} SNR: cf-sa > fus",
-                            snr["cf"] > snr["fus"],
-                            f"{snr['cf']:.2f} vs {snr['fus']:.2f} dB",
-                        )
-                    checks.add(
-                        f"{mname} SNR: cfpl-sa > fus",
-                        snr["cfpl"] > snr["fus"],
-                        f"{snr['cfpl']:.2f} vs {snr['fus']:.2f} dB",
-                    )
+        def pool(key, method, weighting="none", group="off_focus"):
+            return _pool(all_rows, medium_name, method, weighting, key, group)
+
+        lr_fus = pool("lr_mm", "fus")
+        if medium_name == "saline-points":
+            checks.order(f"{medium_name} off-focus LR: sa < fus", pool("lr_mm", "sa"), "<", lr_fus, "mm")
+        else:
+            checks.order(
+                f"{medium_name} off-focus AR: sa < fus",
+                pool("ar_mm", "sa"), "<", pool("ar_mm", "fus"), "mm",
+            )
+            checks.order(
+                f"{medium_name} off-focus LR: cf-sa < fus", pool("lr_mm", "sa", "cf"), "<", lr_fus, "mm"
+            )
+        if not no_noise:
+            snr = {
+                tag: pool("snr_db", m, w, group=None)
+                for tag, (m, w) in {
+                    "fus": ("fus", "none"),
+                    "sa": ("sa", "none"),
+                    "cf-sa": ("sa", "cf"),
+                    "cfpl-sa": ("sa", "cfpl"),
+                }.items()
+            }
+            if all(v is not None for v in snr.values()):
+                orders = [("sa", "<", "fus"), ("cf-sa", ">", "sa"), ("cfpl-sa", ">", "cf-sa")]
+                # the disc's structured arc leakage leaves cf-vs-fus
+                # seed-marginal; the point scene carries that check and
+                # the stronger cfpl weighting carries it for the disc
+                if medium_name == "saline-points":
+                    orders.append(("cf-sa", ">", "fus"))
+                orders.append(("cfpl-sa", ">", "fus"))
+                for lhs, op, rhs in orders:
+                    checks.order(f"{medium_name} SNR: {lhs} {op} {rhs}", snr[lhs], op, snr[rhs], "dB")
 
     # amplitude-correction pair scene (noise-free by construction)
     pair = dataclasses.replace(bundled_scenario("depth_pair"), seed=seed)
@@ -273,21 +234,20 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
             )
             ch_path = channels_dir / f"sham_k{k}.aecd"
             run_simulate(variant, ch_path)
-            result = run_reconstruct(
-                ch_path, variant, str(images_dir / f"sham_k{k}"),
-                weighting="none", do_amplitude_correct=False,
-            )
-            bg_means.append(float(result["image"].envelope.mean()))
+            prefixes = {"none": str(images_dir / f"sham_k{k}")}
             if k == SHAM_AVERAGES[0]:
-                _, aperture = das_sa(
-                    load_channels(ch_path, variant), build_pixel_grid(variant),
-                    variant.reconstruction.f_number,
-                )
-                cf = coherence_factor(aperture)
-                count = aperture.valid_count()
+                prefixes["cf"] = None  # the CF check's map, not written
+            result = reconstruct_bundles(
+                load_channels(ch_path, variant), variant, prefixes, ch_path,
+                do_amplitude_correct=False,
+            )
+            image = result["images"]["none"]
+            bg_means.append(float(image.envelope.mean()))
+            if "cf" in result["maps"]:
+                count = image.coverage
                 mask = count > 0
                 bound = 2 * float(np.mean(1.0 / count[mask]))
-                mean_cf = float(cf.values[mask].mean())
+                mean_cf = float(result["maps"]["cf"].values[mask].mean())
                 checks.add(
                     "sham mean CF within incoherence bound",
                     mean_cf <= bound,

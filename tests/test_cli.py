@@ -75,6 +75,22 @@ class TestSimulate:
         assert "seed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field, value", [
+        (("geometry", "pitch_mm"), float("inf")),
+        (("seed",), -1),
+    ])
+    def test_nonfinite_or_negative_value_exits_2(self, tmp_path, capsys, field, value):
+        doc = yaml.safe_load(yaml.safe_dump(SMALL_SCENARIO))
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "x.aecd")]) == 2
+        assert ".".join(field) in capsys.readouterr().err
+
+
 class TestReconstruct:
     def _simulate(self, tmp_path, scenario_file):
         out = tmp_path / "ch.aecd"

@@ -156,6 +156,18 @@ class TestImageFiles:
         # one row per depth sample
         assert len(path.read_text().strip().splitlines()) == 12
 
+    def test_values_csv_matches_per_value_formatter(self, tmp_path):
+        tiny = np.finfo(float).tiny
+        values = np.array([
+            [np.nan, np.inf, -np.inf, -0.0, 0.0],
+            [5e-324, tiny / 3, -tiny / 7, 1e300, -1e300],
+            [1.5, -123.456e-20, np.finfo(float).max, 1.0 / 3.0, -2.0],
+        ])
+        path = tmp_path / "img.csv"
+        write_values_csv(path, values)
+        old = "".join(",".join(f"{v:.10e}" for v in row) + "\n" for row in values)
+        assert path.read_bytes() == old.encode()
+
     def test_envelope_pgm_format_and_scaling(self, tmp_path):
         env = np.zeros((3, 4))
         env[1, 2] = 1.0

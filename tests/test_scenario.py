@@ -103,6 +103,27 @@ class TestParsing:
             scenario_from_dict(doc)
         assert "signal_roi_mm" in str(err.value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("pitch_mm", float("inf")),
+        ("pitch_mm", float("-inf")),
+        ("center_x_mm", float("nan")),
+        ("center_x_mm", 10**400),
+    ], ids=["pitch_inf", "pitch_neg_inf", "center_nan", "center_huge_int"])
+    def test_nonfinite_number_rejected(self, field, value):
+        doc = dict(MINIMAL, geometry={field: value})
+        with pytest.raises(ScenarioError, match=f"geometry.{field}"):
+            scenario_from_dict(doc)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="scenario.seed"):
+            scenario_from_dict(dict(MINIMAL, seed=-1))
+
+    def test_element_count_beyond_channel_file_limit_rejected(self):
+        # parse time only: nothing of size M is built
+        assert scenario_from_dict(dict(MINIMAL, geometry={"num_elements": 65535}))
+        with pytest.raises(ScenarioError, match="geometry.num_elements"):
+            scenario_from_dict(dict(MINIMAL, geometry={"num_elements": 65536}))
+
     def test_undersampled_pulse_rejected(self):
         doc = dict(MINIMAL)
         doc["pulse"] = {"center_frequency": 2.0e6, "sample_rate": 8.0e6}
@@ -178,6 +199,21 @@ class TestBuilders:
         field = build_s_field(scenario_from_dict(doc), base_dir=tmp_path)
         np.testing.assert_array_equal(field.values, values)
         assert field.dx == 2e-4 and field.origin == (-1e-3, 5e-3)
+
+    @pytest.mark.parametrize("case", ["missing", "not_zip", "no_origin_x"])
+    def test_file_source_read_errors_name_the_path(self, tmp_path, case):
+        path = tmp_path / "field.npz"
+        if case == "not_zip":
+            path.write_text("values: not an archive\n")
+        elif case == "no_origin_x":
+            np.savez(path, values=np.zeros((4, 6)), origin_z=5e-3, dx=2e-4, dz=3e-4)
+        doc = dict(MINIMAL)
+        doc["sources"] = [{"kind": "file", "path": "field.npz"}]
+        with pytest.raises(ScenarioError, match="field.npz") as info:
+            build_s_field(scenario_from_dict(doc), base_dir=tmp_path)
+        assert info.value.path == "scenario.sources[0].path"
+        if case == "no_origin_x":
+            assert "origin_x" in str(info.value)
 
     def test_events_sa_and_fus(self):
         s = scenario_from_dict(dict(MINIMAL))

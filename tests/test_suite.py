@@ -1,0 +1,44 @@
+import dataclasses
+
+from aesynth import cli, suite
+from aesynth import io as aio
+from aesynth.scenario import shift_depth
+
+
+def counting(calls, name, func):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return func(*args, **kwargs)
+
+    return wrapper
+
+
+def test_one_beamform_per_scene_and_metrics_from_memory(tmp_path, monkeypatch, capsys):
+    calls = {"das_sa": 0, "read_values_csv": 0}
+    assert not hasattr(suite, "das_sa")  # the suite reconstructs through cli only
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "das_sa", counting(calls, "das_sa", cli.das_sa))
+        patch.setattr(
+            aio, "read_values_csv", counting(calls, "read_values_csv", aio.read_values_csv)
+        )
+        assert suite.run_paper_suite(tmp_path, seed=7) == 0
+    # six SA scenes, the amplitude-correction pair and three sham averages
+    assert calls == {"das_sa": 10, "read_values_csv": 0}
+
+    # the in-memory scores equal those of the bundles read back from disk
+    header = ["scene"] + cli.METRICS_HEADER
+    expected = [",".join(header)]
+    for medium_name in ("saline-points", "nerve-disc"):
+        base = suite.bundled_scenario(medium_name.replace("-", "_"))
+        base = dataclasses.replace(base, seed=7)
+        for shift in suite.DEPTH_SHIFTS_MM:
+            scene = suite._with_groups(shift_depth(base, shift))
+            tag = f"{medium_name}_d{int(shift):02d}"
+            prefixes = [
+                str(tmp_path / "images" / f"{tag}_{name}")
+                for name in ("sa", "sa_cf", "sa_cfpl", "fus")
+            ]
+            for row in cli.evaluate_bundles(prefixes, scene):
+                row["scene"] = tag
+                expected.append(",".join(aio.format_metric(row.get(k)) for k in header))
+    assert (tmp_path / "metrics.csv").read_text().splitlines() == expected
