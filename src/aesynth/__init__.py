@@ -20,6 +20,7 @@ from .coherence import (
     coherence_factor,
     coherence_factor_pl,
     effective_beam_map,
+    sa_frame,
 )
 from .core import (
     ArrayGeometry,

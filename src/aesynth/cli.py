@@ -14,17 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as aio
-from .coherence import (
-    amplitude_correct,
-    apply_weighting,
-    coherence_factor,
-    coherence_factor_pl,
-    effective_beam_map,
-)
+from .coherence import amplitude_correct, apply_weighting, effective_beam_map, sa_frame
 from .core import PixelGrid
 from .errors import AesynthError, MethodMismatchError, ValidationError
 from .metrics import evaluate_targets
-from .reconstruct import METHOD_FUS, METHOD_SA, BeamformedImage, das_sa, envelope, fus_line_map
+from .reconstruct import METHOD_FUS, METHOD_SA, BeamformedImage, envelope, fus_line_map
 from .scenario import (
     Scenario,
     build_acquisition,
@@ -147,10 +141,11 @@ def reconstruct_bundles(
 
     ``prefixes`` maps each weighting (``none``, ``cf``, ``cfpl``) to its
     output prefix; a ``None`` prefix computes that weighting without writing
-    it.  Single-element data is beamformed once and every coherence map comes
-    from that one aperture.  Returns the final image and, with amplitude
-    correction, the corrected image of every weighting, plus the maps and
-    every file written.
+    it.  Single-element data takes one ``sa_frame`` pass, which yields the
+    image and both coherence maps without storing an aperture (it gathers
+    CFPL's pulse-length instants only when ``cfpl`` is requested).  Returns
+    the final image and, with amplitude correction, the corrected image of
+    every weighting, plus the maps and every file written.
     """
     detected = _detect_method(data)
     if method != "auto" and method != detected:
@@ -166,15 +161,12 @@ def reconstruct_bundles(
 
     images, maps = {}, {}
     if detected == METHOD_SA:
-        image, aperture = das_sa(data, grid, f_number)
+        pulse_samples = pulse.length_samples if "cfpl" in prefixes else 1
+        image, cf, cfpl = sa_frame(data, grid, f_number, pulse_samples, recon.cfpl_centered)
         image = envelope(image)
         for weighting in prefixes:
-            if weighting == "cf":
-                maps[weighting] = coherence_factor(aperture)
-            elif weighting != "none":
-                maps[weighting] = coherence_factor_pl(
-                    aperture, pulse_samples=pulse.length_samples, centered=recon.cfpl_centered
-                )
+            if weighting != "none":
+                maps[weighting] = cf if weighting == "cf" else cfpl
             images[weighting] = apply_weighting(image, maps[weighting]) if weighting in maps else image
     elif any(weighting != "none" for weighting in prefixes):
         raise MethodMismatchError("coherence weighting needs single-element (sa) channel data")

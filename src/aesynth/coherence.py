@@ -10,9 +10,9 @@ pixel (edge-truncated sub-apertures and out-of-support samples reduce it).
 The pulse-length variant averages the CF over the samples spanning one
 pulse length starting at the arrival time.
 
-Both work one depth row at a time on the lanes of the aperture band that
-the row uses (see ``ApertureSamples``), so CF and a one-sample CFPL reduce
-identical vectors and agree bitwise.
+``sa_frame`` forms the SA image, CF and CFPL in one pass over depth rows
+without storing an aperture; ``coherence_factor`` and ``coherence_factor_pl``
+give the same bits from the ``ApertureSamples`` that ``das_sa`` returns.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ import numpy as np
 
 from .core import ArrayGeometry, Medium, PixelGrid, PulseSpec
 from .errors import GridMismatchError, ValidationError
-from .forward import PressureModel, _amplitude
+from .forward import ChannelDataSet, PressureModel, _amplitude
 from .reconstruct import (
+    METHOD_SA,
     ApertureSamples,
     BeamformedImage,
     _Scratch,
     _gather,
     _lane_elements,
+    _sa_rows,
     _sub_aperture_windows,
     envelope,
 )
@@ -76,20 +78,44 @@ def _cf_values(
     return np.clip(cf, 0.0, 1.0)
 
 
-def _row_widths(samples: ApertureSamples) -> np.ndarray:
-    """Per depth row, the number of leading band lanes holding any member."""
-    used = samples.member.any(axis=1)
-    last = used.shape[1] - np.argmax(used[:, ::-1], axis=1)
-    return np.where(used.any(axis=1), last, 0)
+def _lanes_used(member: np.ndarray) -> int:
+    """Number of leading lanes of an (nx, w) row holding any member."""
+    used = member.any(axis=0)
+    return int(used.size - np.argmax(used[::-1])) if used.any() else 0
 
 
 def coherence_factor(samples: ApertureSamples) -> CoherenceMap:
     """Coherence factor of the delayed aperture samples at every pixel."""
     cf = np.zeros((samples.grid.nz, samples.grid.nx))
-    for iz, w in enumerate(_row_widths(samples)):
+    for iz in range(samples.grid.nz):
+        w = _lanes_used(samples.member[iz])
         valid = samples.valid[iz, :, :w]
         cf[iz] = _cf_values(np.where(valid, samples.samples[iz, :, :w], 0.0), valid)
     return CoherenceMap(grid=samples.grid, values=cf, kind=KIND_CF)
+
+
+def _pulse_offsets(pulse_samples: int, centered: bool) -> np.ndarray:
+    """Sample offsets of the pulse-length instants from the arrival, (L, 1, 1)."""
+    if pulse_samples < 1:
+        raise ValidationError("pulse_samples must be >= 1")
+    offsets = np.arange(pulse_samples)
+    if centered:
+        offsets = offsets - (pulse_samples - 1) // 2
+    return offsets.astype(float)[:, None, None]
+
+
+def _pulse_blocks(channels: np.ndarray, rows, offsets: np.ndarray, scratch: _Scratch):
+    """Per row of ``_sa_rows``-style ``(elem, member, pos)``, gather the L instants once.
+
+    Yields the (L, nx, w) samples and valid mask and the (L, nx) CF of every
+    instant.  The CF reduces only the lanes up to the last one holding a
+    member: trailing empty lanes would regroup numpy's pairwise sums.
+    """
+    for elem, member, pos in rows:
+        block = np.add(pos, offsets, out=scratch("pos", offsets.shape[:1] + pos.shape))
+        vals, valid = _gather(channels, elem, block, scratch, member)
+        w = _lanes_used(member)
+        yield vals, valid, _cf_values(vals[..., :w], valid[..., :w], scratch)
 
 
 def coherence_factor_pl(
@@ -110,31 +136,54 @@ def coherence_factor_pl(
     run in one loop on the calling thread; ``threads`` is accepted and
     ignored.
     """
-    if pulse_samples < 1:
-        raise ValidationError("pulse_samples must be >= 1")
-    offsets = np.arange(pulse_samples)
-    if centered:
-        offsets = offsets - (pulse_samples - 1) // 2
-    offsets = offsets.astype(float)[:, None, None]
+    offsets = _pulse_offsets(pulse_samples, centered)
     nz, nx = samples.grid.nz, samples.grid.nx
+
+    def rows():
+        for iz in range(nz):
+            w = _lanes_used(samples.member[iz])
+            elem = _lane_elements(samples.start[iz], w, samples.num_elements)
+            yield elem, samples.member[iz, :, :w], samples.positions[iz, :, :w]
+
     total = np.zeros((nz, nx))
     scratch = _Scratch(pulse_samples * nx * samples.samples.shape[2])
-    for iz, w in enumerate(_row_widths(samples)):
-        shape = (pulse_samples, nx, w)
-        pos = np.add(samples.positions[iz, :, :w], offsets, out=scratch("pos", shape))
-        elem = _lane_elements(samples.start[iz], w, samples.num_elements)
-        vals, support = _gather(samples.channels, elem, pos, scratch)
-        valid = np.logical_and(samples.member[iz, :, :w], support, out=support)
-        invalid = np.logical_not(valid, out=scratch("invalid", shape, bool))
-        np.copyto(vals, 0.0, where=invalid)
-        # a running sum in instant order, whatever the row's shape
-        acc = total[iz]
-        for cf in _cf_values(vals, valid, scratch):
-            acc += cf
-    cfpl = total / pulse_samples
+    for acc, (_, _, cf) in zip(total, _pulse_blocks(samples.channels, rows(), offsets, scratch)):
+        for instant in cf:  # a running sum in instant order, whatever the row's shape
+            acc += instant
     return CoherenceMap(
-        grid=samples.grid, values=cfpl, kind=KIND_CFPL, pulse_samples=pulse_samples
+        grid=samples.grid, values=total / pulse_samples, kind=KIND_CFPL, pulse_samples=pulse_samples
     )
+
+
+def sa_frame(
+    data: ChannelDataSet, grid: PixelGrid, f_number: float,
+    pulse_samples: int = 1, centered: bool = False,
+) -> tuple[BeamformedImage, CoherenceMap, CoherenceMap]:
+    """SA image (with coverage), CF map and CFPL map from one pass over depth rows.
+
+    Bitwise equal to ``das_sa`` followed by ``coherence_factor`` and
+    ``coherence_factor_pl`` on its aperture, but nothing larger than one
+    row's (pulse_samples, nx, w) block is stored.  The image and coverage
+    come from the arrival instant, summed over the row's full window width,
+    CF is that instant's CF and CFPL the mean CF over all instants.
+    """
+    offsets = _pulse_offsets(pulse_samples, centered)
+    arrival = int(-offsets[0, 0, 0])
+    channels, _, width, rows = _sa_rows(data, grid, f_number)
+    values, cf, total = np.zeros((3, grid.nz, grid.nx))
+    coverage = np.zeros(values.shape, dtype=np.int64)
+    scratch = _Scratch(pulse_samples * grid.nx * width)
+    for iz, (vals, valid, row_cf) in enumerate(_pulse_blocks(channels, rows, offsets, scratch)):
+        values[iz] = vals[arrival].sum(axis=-1)
+        coverage[iz] = valid[arrival].sum(axis=-1)
+        cf[iz] = row_cf[arrival]
+        for instant in row_cf:
+            total[iz] += instant
+    image = BeamformedImage(
+        grid=grid, values=values, method=METHOD_SA, f_number=f_number, coverage=coverage
+    )
+    cfpl = CoherenceMap(grid, total / pulse_samples, KIND_CFPL, pulse_samples)
+    return image, CoherenceMap(grid, cf, KIND_CF), cfpl
 
 
 def apply_weighting(image: BeamformedImage, cmap: CoherenceMap) -> BeamformedImage:

@@ -57,16 +57,16 @@ class BeamformedImage:
 
 @dataclass(frozen=True, eq=False)
 class ApertureSamples:
-    """Per-pixel delayed single-element samples retained for coherence maps.
+    """Per-pixel delayed single-element samples, as ``das_sa`` returns them.
 
-    Band layout: a pixel keeps only its sub-aperture window, on ``W`` lanes,
-    where ``W`` is the widest window of the grid.  Lane ``j`` of pixel
-    (ix, iz) holds element ``start[iz, ix] + j``; lanes past the window are
-    padding with ``member`` False.  The full-aperture case is ``start = 0``
-    and ``W = M``.  The arrays hold nz * nx * W lanes rather than
-    nz * nx * M, and the coherence maps work one depth row at a time on the
-    lanes that row uses, so their temporaries are O(nx * W) per row (CFPL:
-    O(pulse_samples * nx * W), in buffers reused across rows).
+    This is the stored aperture that ``coherence_factor`` and
+    ``coherence_factor_pl`` read; the pipeline uses ``coherence.sa_frame``,
+    which forms the same maps row by row and stores none.  Band layout: a
+    pixel keeps only its sub-aperture window, on ``W`` lanes, where ``W`` is
+    the widest window of the grid.  Lane ``j`` of pixel (ix, iz) holds
+    element ``start[iz, ix] + j``; lanes past the window are padding with
+    ``member`` False.  The full-aperture case is ``start = 0`` and
+    ``W = M``.  The arrays hold nz * nx * W lanes rather than nz * nx * M.
 
     ``samples[iz, ix, j]`` is the lane's channel sampled at the pixel's
     arrival time (0 where unusable); ``member`` marks sub-aperture
@@ -101,13 +101,6 @@ def sub_aperture_size(z: float, f_number: float, pitch: float, num_elements: int
     return min(max(m, 1), num_elements)
 
 
-def _window_bounds(m_sa, nearest, num_elements: int):
-    """Centered index window of nominal size ``m_sa``, truncated at the edges."""
-    lo = np.maximum(nearest - (m_sa - 1) // 2, 0)
-    hi = np.minimum(nearest + m_sa // 2, num_elements - 1)
-    return lo, hi
-
-
 def _sub_aperture_windows(geometry: ArrayGeometry, xs, zs, f_number: float):
     """First and last sub-aperture element of every pixel, each (len(zs), len(xs)).
 
@@ -117,10 +110,8 @@ def _sub_aperture_windows(geometry: ArrayGeometry, xs, zs, f_number: float):
     """
     m = geometry.num_elements
     nearest = np.array([geometry.nearest_element(x) for x in xs], dtype=np.int64)
-    sizes = np.array(
-        [sub_aperture_size(z, f_number, geometry.pitch, m) for z in zs], dtype=np.int64
-    )
-    return _window_bounds(sizes[:, None], nearest[None, :], m)
+    sizes = np.array([sub_aperture_size(z, f_number, geometry.pitch, m) for z in zs])[:, None]
+    return np.maximum(nearest - (sizes - 1) // 2, 0), np.minimum(nearest + sizes // 2, m - 1)
 
 
 def _lane_elements(lo: np.ndarray, width: int, num_elements: int) -> np.ndarray:
@@ -160,15 +151,16 @@ class _Scratch:
 
 
 def _gather(
-    channels: np.ndarray, rows, pos: np.ndarray, scratch: _Scratch | None = None
+    channels: np.ndarray, rows, pos: np.ndarray, scratch: _Scratch | None = None, member=None
 ):
     """Linear-interpolated samples ``channels[rows, pos]`` with a support mask.
 
     ``rows`` (trace indices) broadcasts to the shape of ``pos`` (fractional
     sample indices).  The flattened traces are indexed directly, so only the
-    requested samples are read; samples outside the trace are 0.  With a
-    ``scratch`` the results live in its buffers, so repeated large gathers
-    do not allocate.
+    requested samples are read; samples outside the trace are 0.  A
+    ``member`` mask, broadcast the same way, narrows the support, so
+    non-members are 0 too.  With a ``scratch`` the results live in its
+    buffers, so repeated large gathers do not allocate.
     """
     n = channels.shape[1]
     if n < 2:
@@ -178,6 +170,8 @@ def _gather(
     support = np.greater_equal(pos, 0, out=buf("support", shape, bool))
     outside = buf("outside", shape, bool)
     support &= np.less_equal(pos, n - 1, out=outside)
+    if member is not None:
+        support &= member
     k0 = np.floor(pos, out=buf("k0", shape))
     np.clip(k0, 0, n - 2, out=k0)
     index = buf("index", shape, np.int64)
@@ -194,21 +188,14 @@ def _gather(
     return v, support
 
 
-def das_sa(
-    data: ChannelDataSet,
-    grid: PixelGrid,
-    f_number: float,
-    threads: int = 1,
-) -> tuple[BeamformedImage, ApertureSamples]:
-    """Delay-and-sum reconstruction of single-element channel data.
+def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
+    """Row setup shared by every SA beamformer.
 
-    For each pixel, every sub-aperture element's channel is sampled (linear
-    interpolation) at that element's time of flight to the pixel and the
-    samples are summed in ascending element order.  Samples outside the
-    recorded trace contribute zero and are excluded from the valid count.
-    Only the window elements are gathered (see ``ApertureSamples``).  Rows
-    run in one loop on the calling thread; ``threads`` is accepted and
-    ignored.
+    Returns the channels indexed by element (zero rows where an element has
+    no event), the window starts ``lo`` (nz, nx), the widest window of the
+    grid and a generator over depth rows.  Row ``iz`` yields its lanes'
+    elements, sub-aperture membership and arrival positions (fractional
+    sample indices), each (nx, w) with ``w`` the row's widest window.
     """
     geometry = data.geometry
     m = geometry.num_elements
@@ -230,11 +217,34 @@ def das_sa(
     xs = grid.x_coords()
     zs = grid.z_coords()
     c = data.medium.sos
-    fs = data.sample_rate
     lo, hi = _sub_aperture_windows(geometry, xs, zs, f_number)
     span = hi - lo
-    width = int(span.max()) + 1
 
+    def rows():
+        for iz in range(grid.nz):
+            w = int(span[iz].max()) + 1
+            elem = _lane_elements(lo[iz], w, m)
+            member = (np.arange(w) <= span[iz][:, None]) & has_channel[elem]
+            tau = elem_delay[elem] + np.hypot(xs[:, None] - elem_x[elem], zs[iz]) / c
+            yield elem, member, (tau - data.t0) * data.sample_rate
+
+    return channels, lo, int(span.max()) + 1, rows()
+
+
+def das_sa(
+    data: ChannelDataSet, grid: PixelGrid, f_number: float, threads: int = 1
+) -> tuple[BeamformedImage, ApertureSamples]:
+    """Delay-and-sum reconstruction of single-element channel data.
+
+    For each pixel, every sub-aperture element's channel is sampled (linear
+    interpolation) at that element's time of flight to the pixel and the
+    samples are summed in ascending element order.  Samples outside the
+    recorded trace contribute zero and are excluded from the valid count.
+    Only the window elements are gathered (see ``ApertureSamples``).  Rows
+    run in one loop on the calling thread; ``threads`` is accepted and
+    ignored.
+    """
+    channels, lo, width, rows = _sa_rows(data, grid, f_number)
     shape = (grid.nz, grid.nx, width)
     values = np.zeros((grid.nz, grid.nx))
     samples = np.zeros(shape)
@@ -242,36 +252,18 @@ def das_sa(
     valid = np.zeros(shape, dtype=bool)
     positions = np.full(shape, -1.0)
 
-    for iz in range(grid.nz):
-        w = int(span[iz].max()) + 1
-        elem = _lane_elements(lo[iz], w, m)
-        row_member = (np.arange(w) <= span[iz][:, None]) & has_channel[elem]
-        tau = elem_delay[elem] + np.hypot(xs[:, None] - elem_x[elem], zs[iz]) / c
-        pos = (tau - data.t0) * fs
-        vals, support = _gather(channels, elem, pos)
-        row_valid = row_member & support
-        vals = np.where(row_valid, vals, 0.0)
+    for iz, (elem, row_member, pos) in enumerate(rows):
+        w = pos.shape[1]
+        vals, row_valid = _gather(channels, elem, pos, member=row_member)
         values[iz] = vals.sum(axis=1)
         samples[iz, :, :w] = vals
         member[iz, :, :w] = row_member
         valid[iz, :, :w] = row_valid
         positions[iz, :, :w] = pos
 
-    aperture = ApertureSamples(
-        grid=grid,
-        samples=samples,
-        member=member,
-        valid=valid,
-        positions=positions,
-        channels=channels,
-        start=lo,
-    )
+    aperture = ApertureSamples(grid, samples, member, valid, positions, channels, lo)
     image = BeamformedImage(
-        grid=grid,
-        values=values,
-        method=METHOD_SA,
-        f_number=f_number,
-        coverage=valid.sum(axis=2),
+        grid=grid, values=values, method=METHOD_SA, f_number=f_number, coverage=valid.sum(axis=2)
     )
     return image, aperture
 

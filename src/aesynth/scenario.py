@@ -533,12 +533,15 @@ def build_s_field(s: Scenario, base_dir=None) -> SFieldGrid:
         missing = [key for key in keys if key not in fields]
         if missing:
             raise ScenarioError(where, f"{p} has no key {', '.join(missing)}")
-        return SFieldGrid(
-            origin=(float(fields["origin_x"]), float(fields["origin_z"])),
-            dx=float(fields["dx"]),
-            dz=float(fields["dz"]),
-            values=np.asarray(fields["values"], dtype=float),
-        )
+        for key in keys:
+            scalar = key != "values"
+            try:
+                fields[key] = float(fields[key]) if scalar else np.asarray(fields[key], dtype=float)
+            except (TypeError, ValueError) as exc:
+                kind = "a numeric scalar" if scalar else "a numeric array"
+                raise ScenarioError(where, f"{p}: {key} must be {kind} ({exc})") from exc
+        origin = (fields["origin_x"], fields["origin_z"])
+        return SFieldGrid(origin, fields["dx"], fields["dz"], fields["values"])
 
     grid = build_pixel_grid(s)
     values = np.zeros((grid.nz, grid.nx))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import yaml
 
@@ -89,6 +90,22 @@ class TestSimulate:
         bad.write_text(yaml.safe_dump(doc))
         assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "x.aecd")]) == 2
         assert ".".join(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("dx", np.array([2e-4, 3e-4])),  # not a scalar
+        ("values", np.full((4, 6), "abc")),  # not numeric
+    ])
+    def test_malformed_file_source_exits_2(self, tmp_path, capsys, key, value):
+        fields = {"values": np.zeros((4, 6)), "origin_x": -1e-3, "origin_z": 5e-3, "dx": 2e-4, "dz": 3e-4}
+        fields[key] = value
+        np.savez(tmp_path / "field.npz", **fields)
+        doc = yaml.safe_load(yaml.safe_dump(SMALL_SCENARIO))
+        doc["sources"] = [{"kind": "file", "path": "field.npz"}]
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "x.aecd")]) == 2
+        err = capsys.readouterr().err
+        assert "field.npz" in err and key in err
 
 
 class TestReconstruct:

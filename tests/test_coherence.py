@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,10 +21,13 @@ from aesynth import (
     single_element_sequence,
     sub_aperture_size,
 )
-from aesynth.coherence import _cf_values
+from aesynth.cli import load_channels, run_simulate
+from aesynth.coherence import _cf_values, sa_frame
 from aesynth.errors import GridMismatchError, ValidationError
 from aesynth.forward import ChannelDataSet
 from aesynth.reconstruct import BeamformedImage
+from aesynth.scenario import build_pixel_grid
+from aesynth.suite import bundled_scenario
 
 from test_reconstruct import make_scene, point_field_on_grid, simulate_sa
 
@@ -270,23 +275,46 @@ def _and_member(gathered, member):
     return vals, member & support
 
 
+def band_scene(seed, m, trace_len, nx, nz, x0, z0, missing, last=False):
+    """Random single-element channels and a grid; ``missing`` drops a random
+    element's event and ``last`` the last element's."""
+    rng = np.random.default_rng(seed)
+    g = ArrayGeometry(num_elements=m, pitch=0.3e-3)
+    pulse = PulseSpec(center_frequency=2e6, num_cycles=1, sample_rate=16e6)
+    events = single_element_sequence(g)
+    if missing:
+        del events[int(rng.integers(m))]
+    if last and len(events) > 1:
+        events = [ev for ev in events if ev.single_element_index() != m - 1]
+    data = ChannelDataSet(
+        channels=rng.normal(size=(len(events), trace_len)),
+        sample_rate=pulse.sample_rate, t0=float(rng.uniform(-1e-6, 1e-6)),
+        events=tuple(events), geometry=g, medium=Medium(sos=1480.0), pulse=pulse,
+    )
+    grid = PixelGrid(origin=(x0, z0), dx=0.45e-3, dz=0.7e-3, nx=nx, nz=nz)
+    return data, grid
+
+
+BAND_SCENES = dict(
+    seed=st.integers(0, 2**31),
+    m=st.integers(2, 24),
+    trace_len=st.integers(2, 160),
+    nx=st.integers(1, 7),
+    nz=st.integers(1, 6),
+    x0=st.floats(-6e-3, 3e-3),
+    z0=st.floats(0.2e-3, 8e-3),
+    f_number=st.floats(0.3, 3.0),
+    missing=st.booleans(),
+    pulse_samples=st.integers(1, 9),
+    centered=st.booleans(),
+)
+
+
 class TestBandMatchesFullAperture:
     """The band-limited gather reproduces a masked gather over all M."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        m=st.integers(2, 24),
-        trace_len=st.integers(2, 160),
-        nx=st.integers(1, 7),
-        nz=st.integers(1, 6),
-        x0=st.floats(-6e-3, 3e-3),
-        z0=st.floats(0.2e-3, 8e-3),
-        f_number=st.floats(0.3, 3.0),
-        missing=st.booleans(),
-        pulse_samples=st.integers(1, 9),
-        centered=st.booleans(),
-    )
+    @given(**BAND_SCENES)
     # edge-truncated windows, a missing channel, a trace too short for the
     # deep rows and the longest centered and causal pulse windows
     @example(seed=1, m=16, trace_len=60, nx=7, nz=6, x0=-4e-3, z0=2e-3,
@@ -296,18 +324,7 @@ class TestBandMatchesFullAperture:
     def test_values_coverage_cf_cfpl(
         self, seed, m, trace_len, nx, nz, x0, z0, f_number, missing, pulse_samples, centered
     ):
-        rng = np.random.default_rng(seed)
-        g = ArrayGeometry(num_elements=m, pitch=0.3e-3)
-        pulse = PulseSpec(center_frequency=2e6, num_cycles=1, sample_rate=16e6)
-        events = single_element_sequence(g)
-        if missing:
-            del events[int(rng.integers(m))]
-        data = ChannelDataSet(
-            channels=rng.normal(size=(len(events), trace_len)),
-            sample_rate=pulse.sample_rate, t0=float(rng.uniform(-1e-6, 1e-6)),
-            events=tuple(events), geometry=g, medium=Medium(sos=1480.0), pulse=pulse,
-        )
-        grid = PixelGrid(origin=(x0, z0), dx=0.45e-3, dz=0.7e-3, nx=nx, nz=nz)
+        data, grid = band_scene(seed, m, trace_len, nx, nz, x0, z0, missing)
         want_img, want_cov, want_cf, want_cfpl = full_aperture_oracle(
             data, grid, f_number, pulse_samples, centered
         )
@@ -328,6 +345,65 @@ class TestBandMatchesFullAperture:
             np.testing.assert_allclose(cfpl.values, want_cfpl, rtol=0, atol=1e-12)
         for one, three in zip(*results):
             np.testing.assert_array_equal(one, three)
+
+
+class TestFusedFrame:
+    """``sa_frame`` gives the bits of das_sa -> coherence_factor -> coherence_factor_pl."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(last=st.booleans(), **BAND_SCENES)
+    # the last element's channel missing, so the row's CF band is narrower
+    # than its DAS band, with centered and causal windows
+    @example(seed=3, m=12, trace_len=90, nx=7, nz=6, x0=0.9e-3, z0=1.0e-3, f_number=0.6,
+             missing=False, last=True, pulse_samples=9, centered=True)
+    @example(seed=4, m=12, trace_len=90, nx=7, nz=6, x0=0.9e-3, z0=1.0e-3, f_number=0.6,
+             missing=True, last=True, pulse_samples=8, centered=False)
+    # one pulse instant, with a trace too short for the deep rows
+    @example(seed=5, m=16, trace_len=40, nx=7, nz=6, x0=-4e-3, z0=2e-3, f_number=0.8,
+             missing=True, last=False, pulse_samples=1, centered=True)
+    @example(seed=6, m=16, trace_len=40, nx=7, nz=6, x0=-4e-3, z0=2e-3, f_number=0.8,
+             missing=False, last=True, pulse_samples=1, centered=False)
+    def test_matches_three_kernels_bitwise(
+        self, seed, m, trace_len, nx, nz, x0, z0, f_number, missing, last, pulse_samples, centered
+    ):
+        data, grid = band_scene(seed, m, trace_len, nx, nz, x0, z0, missing, last)
+        image, aperture = das_sa(data, grid, f_number)
+        cf = coherence_factor(aperture)
+        cfpl = coherence_factor_pl(aperture, pulse_samples=pulse_samples, centered=centered)
+
+        fused, fused_cf, fused_cfpl = sa_frame(data, grid, f_number, pulse_samples, centered)
+        assert np.array_equal(fused.values, image.values)
+        assert np.array_equal(fused.coverage, image.coverage)
+        assert fused.coverage.dtype == image.coverage.dtype
+        assert np.array_equal(fused_cf.values, cf.values)
+        assert np.array_equal(fused_cfpl.values, cfpl.values)
+        assert (fused_cf.kind, fused_cfpl.kind, fused_cfpl.pulse_samples) == (
+            cf.kind, cfpl.kind, cfpl.pulse_samples
+        )
+
+    def test_rejects_bad_pulse_samples(self):
+        data, grid = band_scene(1, 8, 60, 3, 3, -1e-3, 2e-3, False)
+        with pytest.raises(ValidationError):
+            sa_frame(data, grid, 1.0, pulse_samples=0)
+
+    def test_nerve_disc_frame_peak_allocation(self, tmp_path):
+        """An M=64 desk frame stores no aperture cube (about 22 MB)."""
+        scenario = bundled_scenario("nerve_disc")
+        path = tmp_path / "nerve_disc_sa.aecd"
+        run_simulate(scenario, path)
+        data = load_channels(path, scenario)
+        grid = build_pixel_grid(scenario)
+        assert data.geometry.num_elements == 64
+        tracemalloc.start()
+        try:
+            sa_frame(
+                data, grid, scenario.reconstruction.f_number,
+                data.pulse.length_samples, scenario.reconstruction.cfpl_centered,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestApplyWeighting:

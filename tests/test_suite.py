@@ -14,16 +14,19 @@ def counting(calls, name, func):
 
 
 def test_one_beamform_per_scene_and_metrics_from_memory(tmp_path, monkeypatch, capsys):
-    calls = {"das_sa": 0, "read_values_csv": 0}
-    assert not hasattr(suite, "das_sa")  # the suite reconstructs through cli only
+    calls = {"sa_frame": 0, "read_values_csv": 0}
+    # the suite reconstructs through cli only, and cli stores no aperture
+    for module in (cli, suite):
+        for name in ("das_sa", "coherence_factor", "coherence_factor_pl"):
+            assert not hasattr(module, name), (module.__name__, name)
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "das_sa", counting(calls, "das_sa", cli.das_sa))
+        patch.setattr(cli, "sa_frame", counting(calls, "sa_frame", cli.sa_frame))
         patch.setattr(
             aio, "read_values_csv", counting(calls, "read_values_csv", aio.read_values_csv)
         )
         assert suite.run_paper_suite(tmp_path, seed=7) == 0
     # six SA scenes, the amplitude-correction pair and three sham averages
-    assert calls == {"das_sa": 10, "read_values_csv": 0}
+    assert calls == {"sa_frame": 10, "read_values_csv": 0}
 
     # the in-memory scores equal those of the bundles read back from disk
     header = ["scene"] + cli.METRICS_HEADER
