@@ -77,12 +77,22 @@ def matched_filter(trace: np.ndarray, pulse_template: np.ndarray) -> np.ndarray:
     centered at t (the template center is its middle sample).
     """
     trace = np.asarray(trace, dtype=float)
+    return _matched_filter(pulse_template, trace.shape)(trace)
+
+
+def _matched_filter(pulse_template: np.ndarray, shape: tuple):
+    """``matched_filter`` for traces of ``shape``, with the method scipy's "auto"
+    picks from the shapes chosen once; its 1D direct path is ``np.convolve``
+    with the reversed kernel, called here without scipy's per-call wrapper."""
     h = np.asarray(pulse_template, dtype=float)
     if h.ndim != 1 or h.size == 0 or not np.any(h):
         raise ValidationError("pulse template must be a nonzero 1D array")
-    scale = np.max(np.abs(h)) / np.sum(h * h)
-    center = (h.size - 1) // 2
-    kernel = (h * scale).reshape((1,) * (trace.ndim - 1) + (h.size,))
-    out = sp_signal.correlate(trace, kernel, mode="full", method="auto")
-    start = h.size - 1 - center
-    return out[..., start : start + trace.shape[-1]]
+    kernel = (h * (np.max(np.abs(h)) / np.sum(h * h))).reshape((1,) * (len(shape) - 1) + (h.size,))
+    method = sp_signal.choose_conv_method(np.broadcast_to(0.0, shape), kernel, mode="full")
+    start = h.size - 1 - (h.size - 1) // 2
+
+    def apply(trace: np.ndarray) -> np.ndarray:
+        out = (np.convolve(trace, kernel[::-1]) if method == "direct" and trace.ndim == 1
+               else sp_signal.correlate(trace, kernel, mode="full", method=method))
+        return out[..., start : start + trace.shape[-1]]
+    return apply

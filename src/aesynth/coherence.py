@@ -78,17 +78,16 @@ def _cf_values(
     return np.clip(cf, 0.0, 1.0)
 
 
-def _lanes_used(member: np.ndarray) -> int:
-    """Number of leading lanes of an (nx, w) row holding any member."""
-    used = member.any(axis=0)
-    return int(used.size - np.argmax(used[::-1])) if used.any() else 0
+def _lanes_used(member: np.ndarray) -> np.ndarray:
+    """Number of leading lanes holding any member, per (nx, w) row of ``member``."""
+    used = member.any(axis=-2)
+    return np.where(used.any(axis=-1), used.shape[-1] - np.argmax(used[..., ::-1], axis=-1), 0)
 
 
 def coherence_factor(samples: ApertureSamples) -> CoherenceMap:
     """Coherence factor of the delayed aperture samples at every pixel."""
     cf = np.zeros((samples.grid.nz, samples.grid.nx))
-    for iz in range(samples.grid.nz):
-        w = _lanes_used(samples.member[iz])
+    for iz, w in enumerate(_lanes_used(samples.member)):
         valid = samples.valid[iz, :, :w]
         cf[iz] = _cf_values(np.where(valid, samples.samples[iz, :, :w], 0.0), valid)
     return CoherenceMap(grid=samples.grid, values=cf, kind=KIND_CF)
@@ -105,16 +104,15 @@ def _pulse_offsets(pulse_samples: int, centered: bool) -> np.ndarray:
 
 
 def _pulse_blocks(channels: np.ndarray, rows, offsets: np.ndarray, scratch: _Scratch):
-    """Per row of ``_sa_rows``-style ``(elem, member, pos)``, gather the L instants once.
+    """Per row of ``_sa_rows``-style ``(elem, member, pos, used)``, gather the L instants once.
 
     Yields the (L, nx, w) samples and valid mask and the (L, nx) CF of every
-    instant.  The CF reduces only the lanes up to the last one holding a
-    member: trailing empty lanes would regroup numpy's pairwise sums.
+    instant.  The CF reduces only the ``used`` lanes, up to the last one
+    holding a member: trailing empty lanes would regroup numpy's pairwise sums.
     """
-    for elem, member, pos in rows:
+    for elem, member, pos, w in rows:
         block = np.add(pos, offsets, out=scratch("pos", offsets.shape[:1] + pos.shape))
         vals, valid = _gather(channels, elem, block, scratch, member)
-        w = _lanes_used(member)
         yield vals, valid, _cf_values(vals[..., :w], valid[..., :w], scratch)
 
 
@@ -140,10 +138,9 @@ def coherence_factor_pl(
     nz, nx = samples.grid.nz, samples.grid.nx
 
     def rows():
-        for iz in range(nz):
-            w = _lanes_used(samples.member[iz])
+        for iz, w in enumerate(_lanes_used(samples.member)):
             elem = _lane_elements(samples.start[iz], w, samples.num_elements)
-            yield elem, samples.member[iz, :, :w], samples.positions[iz, :, :w]
+            yield elem, samples.member[iz, :, :w], samples.positions[iz, :, :w], w
 
     total = np.zeros((nz, nx))
     scratch = _Scratch(pulse_samples * nx * samples.samples.shape[2])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquisition import AcquisitionSpec, add_thermal_noise, differential_subtract, matched_filter
+from .acquisition import AcquisitionSpec, _matched_filter, add_thermal_noise, differential_subtract
 from .core import ArrayGeometry, Medium, PulseSpec, SFieldGrid
 from .errors import InvalidEventError, ValidationError
 
@@ -243,7 +243,8 @@ def simulate_channel(
     active = _active_elements(event, geometry)
     elem_x = geometry.element_positions()[active]
     travel, amp = _source_tables(s_field, elem_x, medium, model, amplitude_scale)
-    return _render(travel, amp, np.arange(active.size), event.delays[active], pulse, n_samples)
+    rows = np.arange(active.size)
+    return _render(travel, amp, rows, event.delays[active], pulse, pulse_waveform(pulse), n_samples)
 
 
 def _element_blocks(rows: int, cells: int) -> list[slice]:
@@ -280,17 +281,17 @@ def _source_tables(s_field: SFieldGrid, elem_x, medium: Medium, model: PressureM
     return travel, amp
 
 
-def _render(travel, amp, rows, delays, pulse: PulseSpec, n_samples: int) -> np.ndarray:
+def _render(travel, amp, rows, delays, pulse: PulseSpec, waveform, n_samples: int) -> np.ndarray:
     """Trace of the table ``rows`` firing at ``delays`` (one per row).
 
-    A block of elements is one ``np.add.at`` over two taps per arrival,
+    ``waveform`` is ``pulse_waveform(pulse)``, built once by the caller.  A
+    block of elements is one ``np.add.at`` over two taps per arrival,
     element-major with each element's lower taps first: the order of a loop
     over elements, so each sample sums in the same order at any block size.
     Off-trace taps are clipped onto the spare last slot of ``buf`` (-1 wraps).
     """
     if travel.shape[1] == 0:
         return np.zeros(n_samples)
-    waveform = pulse_waveform(pulse)
     center = pulse_center_index(pulse)
     buf = np.zeros(n_samples + waveform.size + 1)
     top = buf.size - 1
@@ -342,20 +343,21 @@ def simulate_dataset(
         raise InvalidEventError("at least one transmit event is required")
     n = trace_length(max_depth, medium, pulse)
     template = pulse_waveform(pulse)
+    filt = _matched_filter(template, (n,))
     cm = common_mode_trace(acquisition.common_mode_amplitude, pulse, n)
     elem_x = geometry.element_positions()
     travel, amp = _source_tables(s_field, elem_x, medium, model, amplitude_scale)
     channels = np.zeros((len(events), n))
     for i, event in enumerate(events):
         active = _active_elements(event, geometry)
-        clean = _render(travel, amp, active, event.delays[active], pulse, n)
+        clean = _render(travel, amp, active, event.delays[active], pulse, template, n)
         rng = np.random.default_rng((seed, i))
         v_plus = add_thermal_noise(clean + cm, acquisition.noise_power, acquisition.k, rng)
         v_minus = add_thermal_noise(-clean + cm, acquisition.noise_power, acquisition.k, rng)
         diff = differential_subtract(
             acquisition.rf_gain * v_plus, acquisition.rf_gain * v_minus
         )
-        channels[i] = matched_filter(diff, template)
+        channels[i] = filt(diff)
 
     return ChannelDataSet(
         channels=channels,

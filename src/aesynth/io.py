@@ -178,12 +178,72 @@ def read_channel_file(path) -> ChannelDataSet:
     )
 
 
+# ``%.10e`` tables: the exact double powers of ten, and "d.dd", "dddd", "e+XX" as uint32.
+_MUL = np.concatenate([np.ones(22), 10.0 ** np.arange(23)])
+_DIV = _MUL[::-1].copy()
+_LEAD = np.frombuffer("".join(f"{i // 100}.{i % 100:02d}" for i in range(1000)).encode(), np.uint32)
+_DIGITS = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
+_EXPONENT = np.frombuffer("".join(f"e{i:+03d}" for i in range(-99, 100)).encode(), np.uint32)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """``a * 10**(10 - e)`` in one rounding, and where that power is exact."""
+    k = 10 - e
+    exact = np.abs(k) <= 22
+    i = np.where(exact, k + 22, 22).astype(np.intp)
+    return a * _MUL[i] / _DIV[i], exact
+
+
+def _csv_rows(v: np.ndarray) -> list[bytes]:
+    """Rows of ``v`` as ``%.10e`` CSV text, in pieces to be joined.
+
+    Scaling into [1e10, 1e11) by an exact power of ten rounds once, so the
+    result is on the exact product's side of any k + .5, or on it.  Values
+    within 4 ulps (2**-16 at 1e11) of .5, as a guard, non-finite ones and
+    those whose power is not exact (subnormals, below 1e-12, above ~1e32)
+    are left to ``%``."""
+    a = np.abs(v.ravel())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+        y, ok = _scaled(a, e)
+        off = np.flatnonzero(ok & ((y < 1e10) | (y >= 1e11)))  # log10 one off at a power of ten
+        e[off] += np.where(y[off] < 1e10, -1, 1)
+        y[off], ok[off] = _scaled(a[off], e[off])
+        ok[off] &= (y[off] >= 1e10) & (y[off] < 1e11)
+        fast = ok & (np.abs(y - np.floor(y) - 0.5) > 4 * 2.0**-16) | (a == 0)
+    n = np.rint(np.where(fast, y, 0.0))
+    carry = n == 1e11  # 9.999999999996 prints as 1.0000000000e+01
+    n = np.where(carry, 1e10, n).astype(np.int64)
+    e = np.where(fast & (a > 0), e + carry, 0).astype(np.intp)
+    neg = np.signbit(v.ravel()) & fast
+    signed = int(neg.any())  # a leading sign column, 0 where dropped
+    cells = np.empty((a.size, 17 + signed), np.uint8)
+    cells[:, 0] = neg * ord("-")  # without a sign column, overwritten below
+    words = cells[:, signed : signed + 16].view(np.uint32)
+    q, r = np.divmod(n, 10**8)
+    h = r // 10**4
+    words[:, 0], words[:, 1], words[:, 2] = _LEAD[q], _DIGITS[h], _DIGITS[r - h * 10**4]
+    words[:, 3] = _EXPONENT[e + 99]
+    cells.reshape(*v.shape, cells.shape[1])[..., -1] = [ord(",")] * (v.shape[1] - 1) + [ord("\n")]
+    blob = cells.tobytes().replace(b"\0", b"") if signed else cells.tobytes()
+    # A value left to ``%`` holds a 16-byte zero at 17 i + the minus signs before it.
+    slow = np.flatnonzero(~fast)
+    if not slow.size:
+        return [blob]
+    pieces, end = [], 0
+    for start, x in zip((17 * slow + np.cumsum(neg)[slow]).tolist(), v.ravel()[slow].tolist()):
+        pieces += [blob[end:start], b"%.10e" % x]
+        end = start + 16
+    return pieces + [blob[end:]]
+
+
 def write_values_csv(path, values: np.ndarray) -> None:
-    """CSV export, one row per depth sample, every value as ``%.10e``."""
-    values = np.atleast_2d(values)
-    fmt = ",".join(["%.10e"] * values.shape[1])
-    rows = [fmt % tuple(row) for row in values.tolist()]
-    atomic_write_bytes(path, ("\n".join(rows) + "\n").encode())
+    """CSV export, one row per depth sample, every value as ``%.10e``: exactly
+    the bytes of ``'%.10e' % x`` for any float64, formatted in blocks of rows."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    step = max(1, 8192 // max(values.shape[1], 1))  # rows per block of about 8k values
+    pieces = [p for i in range(0, len(values), step) for p in _csv_rows(values[i : i + step])]
+    atomic_write_bytes(path, b"".join(pieces) if values.size else b"\n" * max(len(values), 1))
 
 
 def read_values_csv(path, nz: int, nx: int) -> np.ndarray:

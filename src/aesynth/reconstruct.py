@@ -192,10 +192,10 @@ def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
     """Row setup shared by every SA beamformer.
 
     Returns the channels indexed by element (zero rows where an element has
-    no event), the window starts ``lo`` (nz, nx), the widest window of the
-    grid and a generator over depth rows.  Row ``iz`` yields its lanes'
-    elements, sub-aperture membership and arrival positions (fractional
-    sample indices), each (nx, w) with ``w`` the row's widest window.
+    no event), the window starts ``lo`` (nz, nx), the grid's widest window
+    and a generator over depth rows.  Row ``iz`` yields its lanes' elements,
+    sub-aperture membership and arrival positions (fractional sample indices),
+    each (nx, w) for the row's widest window ``w``, and its lanes up to the last member.
     """
     geometry = data.geometry
     m = geometry.num_elements
@@ -219,6 +219,9 @@ def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
     c = data.medium.sos
     lo, hi = _sub_aperture_windows(geometry, xs, zs, f_number)
     span = hi - lo
+    # A window's last member is the last element up to ``hi`` with a channel.
+    last = np.maximum.accumulate(np.where(has_channel, np.arange(m), -1))[hi]
+    used = np.where(last >= lo, last - lo + 1, 0).max(axis=1)
 
     def rows():
         for iz in range(grid.nz):
@@ -226,7 +229,7 @@ def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
             elem = _lane_elements(lo[iz], w, m)
             member = (np.arange(w) <= span[iz][:, None]) & has_channel[elem]
             tau = elem_delay[elem] + np.hypot(xs[:, None] - elem_x[elem], zs[iz]) / c
-            yield elem, member, (tau - data.t0) * data.sample_rate
+            yield elem, member, (tau - data.t0) * data.sample_rate, int(used[iz])
 
     return channels, lo, int(span.max()) + 1, rows()
 
@@ -252,7 +255,7 @@ def das_sa(
     valid = np.zeros(shape, dtype=bool)
     positions = np.full(shape, -1.0)
 
-    for iz, (elem, row_member, pos) in enumerate(rows):
+    for iz, (elem, row_member, pos, _) in enumerate(rows):
         w = pos.shape[1]
         vals, row_valid = _gather(channels, elem, pos, member=row_member)
         values[iz] = vals.sum(axis=1)

@@ -434,6 +434,8 @@ def scenario_to_dict(s: Scenario) -> dict:
 def load_scenario(path) -> Scenario:
     try:
         doc = yaml.safe_load(Path(path).read_text())
+    except OSError as exc:
+        raise ScenarioError(str(path), f"cannot read: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(str(path), f"not valid YAML: {exc}") from exc
     if doc is None:
@@ -577,6 +579,12 @@ def build_events(s: Scenario):
         centers = geometry.element_positions()
     else:
         centers = np.asarray(s.transmit.line_centers, dtype=float) * MM
+        grid = build_pixel_grid(s)  # fus_line_map puts a line in the column nearest its center
+        col = np.ceil((centers - grid.origin[0]) / grid.dx - 0.5)
+        if np.any((col < 0) | (col >= grid.nx)):
+            x0, x1 = grid.x_coords()[[0, -1]] / MM
+            raise ScenarioError("scenario.transmit.line_centers",
+                                f"a center lies off the grid's x-range {x0:g} to {x1:g} mm")
     return focused_sequence(
         geometry, build_medium(s), s.transmit.focal_depth_mm * MM, centers
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import signal as sp_signal
 
 from aesynth import (
     AcquisitionSpec,
@@ -146,6 +147,20 @@ class TestMatchedFilter:
         lhs = matched_filter(shifted, h)
         rhs = np.roll(matched_filter(a, h), 3)
         np.testing.assert_allclose(lhs[10:-10], rhs[10:-10], atol=1e-10)
+
+    @pytest.mark.parametrize("shape, taps, method", [
+        ((550,), 9, "direct"),  # a desk-scene trace
+        ((20000,), 801, "fft"),
+        ((3, 40), 9, "direct"),  # stacks of traces go through scipy
+        ((4, 300), 9, "fft"),
+    ])
+    def test_bitwise_equal_to_scipy_auto(self, rng, shape, taps, method):
+        trace, h = rng.normal(size=shape), rng.normal(size=taps)
+        kernel = (h * (np.max(np.abs(h)) / np.sum(h * h))).reshape((1,) * (len(shape) - 1) + (taps,))
+        assert sp_signal.choose_conv_method(trace, kernel, mode="full") == method
+        start = taps - 1 - (taps - 1) // 2
+        full = sp_signal.correlate(trace, kernel, mode="full", method="auto")
+        assert np.array_equal(matched_filter(trace, h), full[..., start : start + shape[-1]])
 
     def test_zero_template_rejected(self):
         with pytest.raises(ValidationError):

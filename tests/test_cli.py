@@ -108,6 +108,31 @@ class TestSimulate:
         assert "field.npz" in err and key in err
 
 
+    def test_off_grid_line_center_exits_2(self, tmp_path, capsys):
+        doc = yaml.safe_load(yaml.safe_dump(SMALL_SCENARIO))
+        doc["transmit"] = {"scheme": "fus", "focal_depth_mm": 10.0, "line_centers": [0.0, 30.0]}
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "x.aecd")]) == 2
+        assert "transmit.line_centers" in capsys.readouterr().err
+        assert not (tmp_path / "x.aecd").exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "reconstruct", "evaluate"])
+def test_missing_scenario_path_exits_2(tmp_path, scenario_file, capsys, verb):
+    channels = tmp_path / "ch.aecd"
+    main(["simulate", "--scenario", str(scenario_file), "--out", str(channels)])
+    missing = tmp_path / "missing.yaml"
+    out = str(tmp_path / "out")
+    argv = {
+        "simulate": ["--out", out],
+        "reconstruct": ["--channels", str(channels), "--out", out],
+        "evaluate": ["--out", out, out],
+    }[verb]
+    assert main([verb, "--scenario", str(missing), *argv]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 class TestReconstruct:
     def _simulate(self, tmp_path, scenario_file):
         out = tmp_path / "ch.aecd"

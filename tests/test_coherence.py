@@ -22,11 +22,17 @@ from aesynth import (
     sub_aperture_size,
 )
 from aesynth.cli import load_channels, run_simulate
-from aesynth.coherence import _cf_values, sa_frame
+from aesynth.coherence import _cf_values, _lanes_used, sa_frame
 from aesynth.errors import GridMismatchError, ValidationError
 from aesynth.forward import ChannelDataSet
-from aesynth.reconstruct import BeamformedImage
-from aesynth.scenario import build_pixel_grid
+from aesynth.reconstruct import BeamformedImage, _sa_rows
+from aesynth.scenario import (
+    build_events,
+    build_geometry,
+    build_medium,
+    build_pixel_grid,
+    build_pulse,
+)
 from aesynth.suite import bundled_scenario
 
 from test_reconstruct import make_scene, point_field_on_grid, simulate_sa
@@ -380,6 +386,25 @@ class TestFusedFrame:
         assert (fused_cf.kind, fused_cfpl.kind, fused_cfpl.pulse_samples) == (
             cf.kind, cfpl.kind, cfpl.pulse_samples
         )
+
+    @pytest.mark.parametrize("scene", ["saline_points", "nerve_disc", "depth_pair", "sham", None])
+    def test_frame_lane_widths_match_per_row(self, scene):
+        """``_sa_rows``' per-frame widths are ``_lanes_used`` of each row's members."""
+        if scene is None:  # the last element's channel missing
+            (data, grid), f_number = band_scene(4, 12, 90, 7, 6, 0.9e-3, 1e-3, True, True), 0.6
+        else:
+            scenario = bundled_scenario(scene)
+            events = build_events(scenario)
+            data = ChannelDataSet(
+                channels=np.zeros((len(events), 2)), sample_rate=scenario.pulse.sample_rate,
+                t0=0.0, events=tuple(events), geometry=build_geometry(scenario),
+                medium=build_medium(scenario), pulse=build_pulse(scenario),
+            )
+            grid, f_number = build_pixel_grid(scenario), scenario.reconstruction.f_number
+        rows = list(_sa_rows(data, grid, f_number)[3])
+        assert [used for *_, used in rows] == [_lanes_used(member) for _, member, *_ in rows]
+        if scene is None:
+            assert any(used < member.shape[1] for _, member, _, used in rows)
 
     def test_rejects_bad_pulse_samples(self):
         data, grid = band_scene(1, 8, 60, 3, 3, -1e-3, 2e-3, False)

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aesynth import (
     AcquisitionSpec,
@@ -146,6 +147,18 @@ class TestChannelFile:
         assert not path.exists()
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _csv_arrays(elements, dtype=float):
+    """1x1, 1xn and nx1 arrays of ``elements`` as ``dtype``, viewed as float64."""
+    n = st.integers(1, 40)
+    shapes = st.one_of(st.just((1, 1)), n.map(lambda k: (1, k)), n.map(lambda k: (k, 1)))
+    return shapes.flatmap(lambda shape: st.lists(
+        elements, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+    ).map(lambda v: np.array(v, dtype=dtype).view(np.float64).reshape(shape)))
+
+
 class TestImageFiles:
     def test_values_csv_round_trip(self, tmp_path, rng):
         values = rng.normal(size=(12, 7))
@@ -167,6 +180,36 @@ class TestImageFiles:
         write_values_csv(path, values)
         old = "".join(",".join(f"{v:.10e}" for v in row) + "\n" for row in values)
         assert path.read_bytes() == old.encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.one_of(_csv_arrays(st.integers(0, 2**64 - 1), np.uint64), _csv_arrays(st.floats())))
+    @example(values=np.array([[0.0, -0.0, 5e-324, -5e-324, _TINY / 3, -_TINY / 7]]))
+    @example(values=np.array([[9.99999999995], [-9.99999999995e5], [9.99999999995e-5],
+                              [9.99999999995e22], [-9.99999999995e-22], [9.99999999995e40]]))
+    # exactly halfway at digit 11: round half to even, down and up
+    @example(values=np.array([[10000000000.5, 10000000001.5, -12345678901.5, 2.5e-323]]))
+    @example(values=np.array([[1e100], [-1e-100], [1.7976931348623157e308], [-1e-308], [2.2e-308]]))
+    # the carry to the next exponent, the ends of the exact powers of ten
+    # and the doubles just below a power of ten, where log10 rounds up
+    @example(values=np.array([[9.999999999996, -9.9999999999996e-7, 9.99999999999e30,
+                               1e-12, 9.9e-13, -1.5e-13, 9.999999999e-13, 5e32, 9.999999999999e32,
+                               1e33, 99999.99999999999, 0.09999999999999999, 9.999999999999999e21]]))
+    @example(values=np.array([[np.nan, np.inf, -np.inf]]))
+    @example(values=np.array([[-0.0]]))
+    def test_values_csv_matches_formatter_on_any_double(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        write_values_csv(path, values)
+        rows = (",".join(f"{v:.10e}" for v in row) + "\n" for row in values.tolist())
+        assert path.read_bytes() == "".join(rows).encode()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (5,), ()])
+    def test_values_csv_degenerate_shapes(self, tmp_path, shape):
+        path = tmp_path / "img.csv"
+        write_values_csv(path, np.full(shape, -1.5))
+        rows = np.atleast_2d(np.full(shape, -1.5)).tolist() or [[]]
+        assert path.read_bytes() == "".join(
+            ",".join(f"{v:.10e}" for v in row) + "\n" for row in rows
+        ).encode()
 
     def test_envelope_pgm_format_and_scaling(self, tmp_path):
         env = np.zeros((3, 4))

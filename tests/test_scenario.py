@@ -229,6 +229,16 @@ class TestBuilders:
         events = build_events(scenario_from_dict(doc))
         assert len(events) == 3
 
+    def test_off_grid_line_center_rejected(self):
+        doc = dict(MINIMAL)
+        x1 = build_pixel_grid(scenario_from_dict(doc)).x_coords()[-1] / 1e-3
+        doc["transmit"] = {"scheme": "fus", "focal_depth_mm": 20.0,
+                           "line_centers": [-1.0, 0.0, x1 + 1.0]}
+        with pytest.raises(ScenarioError) as info:
+            build_events(scenario_from_dict(doc))
+        assert info.value.path == "scenario.transmit.line_centers"
+        assert f"{x1:g} mm" in str(info.value)
+
     def test_targets_converted(self):
         s = scenario_from_dict(dict(FULL))
         (t,) = build_targets(s)
