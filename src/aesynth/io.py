@@ -182,7 +182,7 @@ def read_channel_file(path) -> ChannelDataSet:
 _MUL = np.concatenate([np.ones(22), 10.0 ** np.arange(23)])
 _DIV = _MUL[::-1].copy()
 _LEAD = np.frombuffer("".join(f"{i // 100}.{i % 100:02d}" for i in range(1000)).encode(), np.uint32)
-_DIGITS = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
+_DIGITS = np.char.zfill(np.arange(10000).astype("S4"), 4).view(np.uint32)  # no 10k str objects
 _EXPONENT = np.frombuffer("".join(f"e{i:+03d}" for i in range(-99, 100)).encode(), np.uint32)
 
 
@@ -241,7 +241,7 @@ def write_values_csv(path, values: np.ndarray) -> None:
     """CSV export, one row per depth sample, every value as ``%.10e``: exactly
     the bytes of ``'%.10e' % x`` for any float64, formatted in blocks of rows."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    step = max(1, 8192 // max(values.shape[1], 1))  # rows per block of about 8k values
+    step = max(1, 4096 // max(values.shape[1], 1))  # rows per block of about 4k values
     pieces = [p for i in range(0, len(values), step) for p in _csv_rows(values[i : i + step])]
     atomic_write_bytes(path, b"".join(pieces) if values.size else b"\n" * max(len(values), 1))
 
