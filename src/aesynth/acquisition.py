@@ -81,16 +81,15 @@ def matched_filter(trace: np.ndarray, pulse_template: np.ndarray) -> np.ndarray:
 
 
 def _matched_filter(pulse_template: np.ndarray, shape: tuple):
-    """``matched_filter`` for traces of ``shape``, with the method scipy's "auto"
-    picks from the shapes chosen once; its 1D direct path is ``np.convolve``
-    with the reversed kernel, called here without scipy's per-call wrapper."""
+    """``matched_filter`` for traces of ``shape``.  scipy's "auto" method is
+    chosen once from the shapes; its 1D direct path, ``np.convolve`` with the
+    reversed kernel, is called without scipy's per-call wrapper (same bits)."""
     h = np.asarray(pulse_template, dtype=float)
     if h.ndim != 1 or h.size == 0 or not np.any(h):
         raise ValidationError("pulse template must be a nonzero 1D array")
     kernel = (h * (np.max(np.abs(h)) / np.sum(h * h))).reshape((1,) * (len(shape) - 1) + (h.size,))
     method = sp_signal.choose_conv_method(np.broadcast_to(0.0, shape), kernel, mode="full")
     start = h.size - 1 - (h.size - 1) // 2
-
     def apply(trace: np.ndarray) -> np.ndarray:
         out = (np.convolve(trace, kernel[::-1]) if method == "direct" and trace.ndim == 1
                else sp_signal.correlate(trace, kernel, mode="full", method=method))
