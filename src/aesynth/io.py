@@ -198,10 +198,10 @@ def _csv_rows(v: np.ndarray) -> list[bytes]:
     """Rows of ``v`` as ``%.10e`` CSV text, in pieces to be joined.
 
     Scaling into [1e10, 1e11) by an exact power of ten rounds once, so the
-    result is on the exact product's side of any k + .5, or on it.  Values
-    within 4 ulps (2**-16 at 1e11) of .5, as a guard, non-finite ones and
-    those whose power is not exact (subnormals, below 1e-12, above ~1e32)
-    are left to ``%``."""
+    result is on the exact product's side of any k + .5, or on it.  A row
+    holding a value within 4 ulps (2**-16 at 1e11) of .5, as a guard, a
+    non-finite one or one whose power is not exact (subnormals, below 1e-12,
+    above ~1e32) is left to ``%`` whole."""
     a = np.abs(v.ravel())
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))
@@ -211,6 +211,8 @@ def _csv_rows(v: np.ndarray) -> list[bytes]:
         y[off], ok[off] = _scaled(a[off], e[off])
         ok[off] &= (y[off] >= 1e10) & (y[off] < 1e11)
         fast = ok & (np.abs(y - np.floor(y) - 0.5) > 4 * 2.0**-16) | (a == 0)
+    rows_ok = fast.reshape(v.shape).all(axis=1)
+    fast = np.repeat(rows_ok, v.shape[1])
     n = np.rint(np.where(fast, y, 0.0))
     carry = n == 1e11  # 9.999999999996 prints as 1.0000000000e+01
     n = np.where(carry, 1e10, n).astype(np.int64)
@@ -222,24 +224,22 @@ def _csv_rows(v: np.ndarray) -> list[bytes]:
     words = cells[:, signed : signed + 16].view(np.uint32)
     q, r = np.divmod(n, 10**8)
     h = r // 10**4
-    words[:, 0], words[:, 1], words[:, 2] = _LEAD[q], _DIGITS[h], _DIGITS[r - h * 10**4]
-    words[:, 3] = _EXPONENT[e + 99]
+    words[:] = np.stack([_LEAD[q], _DIGITS[h], _DIGITS[r - h * 10**4], _EXPONENT[e + 99]], axis=1)
     cells.reshape(*v.shape, cells.shape[1])[..., -1] = [ord(",")] * (v.shape[1] - 1) + [ord("\n")]
     blob = cells.tobytes().replace(b"\0", b"") if signed else cells.tobytes()
-    # A value left to ``%`` holds a 16-byte zero at 17 i + the minus signs before it.
-    slow = np.flatnonzero(~fast)
-    if not slow.size:
-        return [blob]
+    # A row left to ``%`` holds 17 bytes a value, after the minus signs of the rows above.
+    slow = np.flatnonzero(~rows_ok)
+    width, fmt = 17 * v.shape[1], b",".join([b"%.10e"] * v.shape[1]) + b"\n"
+    starts = width * slow + np.cumsum(neg.reshape(v.shape).sum(axis=1))[slow]
     pieces, end = [], 0
-    for start, x in zip((17 * slow + np.cumsum(neg)[slow]).tolist(), v.ravel()[slow].tolist()):
-        pieces += [blob[end:start], b"%.10e" % x]
-        end = start + 16
+    for start, row in zip(starts.tolist(), v[slow].tolist()):
+        pieces += [blob[end:start], fmt % tuple(row)]
+        end = start + width
     return pieces + [blob[end:]]
 
 
 def write_values_csv(path, values: np.ndarray) -> None:
-    """CSV export, one row per depth sample, every value as ``%.10e``: exactly
-    the bytes of ``'%.10e' % x`` for any float64, formatted in blocks of rows."""
+    """CSV export, one row per depth sample, every value as exactly ``'%.10e' % x``."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     step = max(1, 4096 // max(values.shape[1], 1))  # rows per block of about 4k values
     pieces = [p for i in range(0, len(values), step) for p in _csv_rows(values[i : i + step])]

@@ -151,9 +151,10 @@ _TINY = np.finfo(float).tiny
 
 
 def _csv_arrays(elements, dtype=float):
-    """1x1, 1xn and nx1 arrays of ``elements`` as ``dtype``, viewed as float64."""
+    """1x1, 1xn, nx1 and small mxn arrays of ``elements`` as ``dtype``, viewed as float64."""
     n = st.integers(1, 40)
-    shapes = st.one_of(st.just((1, 1)), n.map(lambda k: (1, k)), n.map(lambda k: (k, 1)))
+    shapes = st.one_of(st.just((1, 1)), n.map(lambda k: (1, k)), n.map(lambda k: (k, 1)),
+                       st.tuples(st.integers(2, 6), st.integers(2, 6)))
     return shapes.flatmap(lambda shape: st.lists(
         elements, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
     ).map(lambda v: np.array(v, dtype=dtype).view(np.float64).reshape(shape)))
