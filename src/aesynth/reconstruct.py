@@ -221,7 +221,7 @@ def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
     span = hi - lo
     # Each window's last member: the last element up to ``hi`` with a channel.
     last = np.maximum.accumulate(np.where(has_channel, np.arange(m), -1))[hi]
-    last -= lo  # in place: one more (nz, nx) temporary measured +0.4 MB peak RSS
+    last -= lo  # in place: a second (nz, nx) temporary raised the frame's peak RSS
     used = np.maximum(last.max(axis=1) + 1, 0)
 
     def rows():
