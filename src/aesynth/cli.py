@@ -129,40 +129,72 @@ def _write_image_bundle(prefix: str, image: BeamformedImage, meta: dict) -> list
 
 
 def reconstruct_bundles(
-    data,
-    scenario: Scenario,
-    prefixes: dict,
-    source_channels,
+    scenes,
     method: str = "auto",
     f_number: float | None = None,
     do_amplitude_correct: bool | None = None,
-) -> dict:
-    """Reconstruct loaded channels once and write one image bundle per weighting.
+) -> list[dict]:
+    """Reconstruct loaded scenes and write one image bundle per weighting of each.
 
-    ``prefixes`` maps each weighting (``none``, ``cf``, ``cfpl``) to its
-    output prefix; a ``None`` prefix computes that weighting without writing
-    it.  Single-element data takes one ``sa_frame`` pass, which yields the
-    image and both coherence maps without storing an aperture (it gathers
-    CFPL's pulse-length instants only when ``cfpl`` is requested).  Returns
-    the final image and, with amplitude correction, the corrected image of
-    every weighting, plus the maps and every file written.
+    ``scenes`` holds ``(data, scenario, prefixes, source_channels)``
+    tuples.  ``prefixes`` maps each weighting (``none``, ``cf``, ``cfpl``) to
+    its output prefix; a ``None`` prefix computes that weighting without
+    writing it.  ``f_number`` and ``do_amplitude_correct`` default to each
+    scenario's own.
+
+    The single-element scenes share one delay plan (array, medium, sampling,
+    events, pixel grid and F-number; else ``ValidationError``), so they take
+    one ``sa_frame`` pass that plans each depth row once and yields every
+    scene's image and coherence maps without storing an aperture.  It gathers
+    CFPL's pulse-length instants only when some scene asks for ``cfpl``, and
+    those scenes must share the CFPL window.  Focused scenes are line-mapped
+    one by one.  Returns, per scene, the final image and, with amplitude
+    correction, the corrected image of every weighting, plus the maps and
+    every file written.
     """
-    detected = _detect_method(data)
-    if method != "auto" and method != detected:
-        raise MethodMismatchError(
-            f"requested {method} reconstruction but the file holds {detected} events"
-        )
-    recon = scenario.reconstruction
-    f_number = recon.f_number if f_number is None else f_number
+    detected = [_detect_method(data) for data, *_ in scenes]
+    for found in detected:
+        if method not in ("auto", found):
+            raise MethodMismatchError(
+                f"requested {method} reconstruction but the file holds {found} events"
+            )
+    plans = [
+        (build_pixel_grid(s), s.reconstruction.f_number if f_number is None else f_number)
+        for _, s, _, _ in scenes
+    ]
+    sa = [i for i, d in enumerate(detected) if d == METHOD_SA]
+    frames = {}
+    if sa:
+        windows = {
+            (scenes[i][0].pulse.length_samples, scenes[i][1].reconstruction.cfpl_centered)
+            for i in sa if "cfpl" in scenes[i][2]
+        } or {(1, False)}
+        if len({plans[i] for i in sa}) > 1 or len(windows) > 1:
+            raise ValidationError(
+                "scenes beamformed in one pass must share the pixel grid, F-number and CFPL window"
+            )
+        (grid, f_sa), ((pulse_samples, centered),) = plans[sa[0]], windows
+        batch = sa_frame([scenes[i][0] for i in sa], grid, f_sa, pulse_samples, centered)
+        frames = dict(zip(sa, batch))
+    return [
+        _write_scene(scene, grid, f, frames.get(i), do_amplitude_correct)
+        for i, (scene, (grid, f)) in enumerate(zip(scenes, plans))
+    ]
+
+
+def _write_scene(scene, grid: PixelGrid, f_number: float, frame, do_amplitude_correct) -> dict:
+    """Weight, write and amplitude-correct one scene of ``reconstruct_bundles``.
+
+    ``frame`` is the scene's ``sa_frame`` triple, or ``None`` for focused data.
+    """
+    data, scenario, prefixes, source_channels = scene
     if do_amplitude_correct is None:
-        do_amplitude_correct = recon.amplitude_correct
-    grid = build_pixel_grid(scenario)
+        do_amplitude_correct = scenario.reconstruction.amplitude_correct
     medium, pulse = data.medium, data.pulse
 
     images, maps = {}, {}
-    if detected == METHOD_SA:
-        pulse_samples = pulse.length_samples if "cfpl" in prefixes else 1
-        image, cf, cfpl = sa_frame(data, grid, f_number, pulse_samples, recon.cfpl_centered)
+    if frame is not None:
+        image, cf, cfpl = frame
         image = envelope(image)
         for weighting in prefixes:
             if weighting != "none":
@@ -194,7 +226,7 @@ def reconstruct_bundles(
         written += _write_image_bundle(prefix, images[weighting], meta)
         if not do_amplitude_correct:
             continue
-        if detected != METHOD_SA:
+        if frame is None:
             raise MethodMismatchError("amplitude correction applies to sa images only")
         if beam_map is None:
             beam_map = effective_beam_map(
@@ -208,7 +240,8 @@ def reconstruct_bundles(
         written += _write_image_bundle(f"{prefix}_corrected", corrected[weighting], meta)
 
     return {
-        "images": images, "corrected": corrected, "maps": maps, "method": detected, "written": written,
+        "images": images, "corrected": corrected, "maps": maps,
+        "method": METHOD_SA if frame is not None else METHOD_FUS, "written": written,
     }
 
 
@@ -228,10 +261,8 @@ def run_reconstruct(
     correction is requested.
     """
     weighting = scenario.reconstruction.weighting if weighting is None else weighting
-    result = reconstruct_bundles(
-        load_channels(channel_path, scenario), scenario, {weighting: out_prefix},
-        channel_path, method, f_number, do_amplitude_correct,
-    )
+    scene = (load_channels(channel_path, scenario), scenario, {weighting: out_prefix}, channel_path)
+    (result,) = reconstruct_bundles([scene], method, f_number, do_amplitude_correct)
     result["image"] = result.pop("images")[weighting]
     result["corrected"] = result["corrected"].get(weighting)
     return result

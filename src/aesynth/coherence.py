@@ -11,8 +11,11 @@ The pulse-length variant averages the CF over the samples spanning one
 pulse length starting at the arrival time.
 
 ``sa_frame`` forms the SA image, CF and CFPL in one pass over depth rows
-without storing an aperture; ``coherence_factor`` and ``coherence_factor_pl``
-give the same bits from the ``ApertureSamples`` that ``das_sa`` returns.
+without storing an aperture.  Its delays, windows and gather indices depend
+only on the array, grid, medium and sampling, never on the traces, so it
+takes a batch of datasets that share them and plans each row once for all.
+``coherence_factor`` and ``coherence_factor_pl`` give the same bits from the
+``ApertureSamples`` that ``das_sa`` returns.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from .reconstruct import (
     ApertureSamples,
     BeamformedImage,
     _Scratch,
-    _gather,
+    _gather_plan,
+    _interpolate,
     _lane_elements,
+    _plan_inputs,
     _sa_rows,
     _sub_aperture_windows,
     envelope,
@@ -61,16 +66,16 @@ class CoherenceMap:
 
 
 def _cf_values(
-    vals: np.ndarray, valid: np.ndarray, scratch: _Scratch | None = None
+    vals: np.ndarray, count: np.ndarray, scratch: _Scratch | None = None
 ) -> np.ndarray:
     """CF of sample vectors along the last axis; 0 where there is no energy.
 
-    ``vals`` must be 0 wherever ``valid`` is False.
+    ``count`` is the number of valid samples of each vector, and ``vals``
+    must be 0 wherever a sample is not valid.
     """
     num = vals.sum(axis=-1) ** 2
     square = None if scratch is None else scratch("square", vals.shape)
     energy = np.square(vals, out=square).sum(axis=-1)
-    count = np.count_nonzero(valid, axis=-1)
     den = count * energy
     with np.errstate(invalid="ignore", divide="ignore"):
         cf = np.where(den > 0, num / den, 0.0)
@@ -89,7 +94,8 @@ def coherence_factor(samples: ApertureSamples) -> CoherenceMap:
     cf = np.zeros((samples.grid.nz, samples.grid.nx))
     for iz, w in enumerate(_lanes_used(samples.member)):
         valid = samples.valid[iz, :, :w]
-        cf[iz] = _cf_values(np.where(valid, samples.samples[iz, :, :w], 0.0), valid)
+        vals = np.where(valid, samples.samples[iz, :, :w], 0.0)
+        cf[iz] = _cf_values(vals, np.count_nonzero(valid, axis=-1))
     return CoherenceMap(grid=samples.grid, values=cf, kind=KIND_CF)
 
 
@@ -103,17 +109,29 @@ def _pulse_offsets(pulse_samples: int, centered: bool) -> np.ndarray:
     return offsets.astype(float)[:, None, None]
 
 
-def _pulse_blocks(channels: np.ndarray, rows, offsets: np.ndarray, scratch: _Scratch):
-    """Per row of ``_sa_rows``-style ``(elem, member, pos, used)``, gather the L instants once.
+def _pulse_blocks(flats, num_samples: int, rows, offsets: np.ndarray, scratch: _Scratch):
+    """Per row of ``_sa_rows``-style ``(trace, member, pos, used)``, plan the L instants once.
 
-    Yields the (L, nx, w) samples and valid mask and the (L, nx) CF of every
-    instant.  The CF reduces only the ``used`` lanes, up to the last one
-    holding a member: trailing empty lanes would regroup numpy's pairwise sums.
+    ``flats`` are flattened channel blocks of ``num_samples``-sample traces
+    that share one delay plan.  Each row yields its (L, nx, w) valid mask and
+    an iterator over ``flats`` of the (L, nx, w) samples and the (L, nx) CF
+    of every instant, which must be consumed before the next row.  Only the
+    interpolation and the CF run per block.  The CF reduces only the ``used``
+    lanes, up to the last one holding a member: trailing empty lanes would
+    regroup numpy's pairwise sums.
     """
-    for elem, member, pos, w in rows:
+    for trace, member, pos, w in rows:
         block = np.add(pos, offsets, out=scratch("pos", offsets.shape[:1] + pos.shape))
-        vals, valid = _gather(channels, elem, block, scratch, member)
-        yield vals, valid, _cf_values(vals[..., :w], valid[..., :w], scratch)
+        plan = _gather_plan(num_samples, trace, block, scratch, member)
+        valid = plan[3]
+        count = np.count_nonzero(valid[..., :w], axis=-1)
+        yield valid, _block_samples(flats, plan, w, count, scratch)
+
+
+def _block_samples(flats, plan, w: int, count: np.ndarray, scratch: _Scratch):
+    for flat in flats:
+        vals = _interpolate(flat, plan, scratch)
+        yield vals, _cf_values(vals[..., :w], count, scratch)
 
 
 def coherence_factor_pl(
@@ -144,43 +162,72 @@ def coherence_factor_pl(
 
     total = np.zeros((nz, nx))
     scratch = _Scratch(pulse_samples * nx * samples.samples.shape[2])
-    for acc, (_, _, cf) in zip(total, _pulse_blocks(samples.channels, rows(), offsets, scratch)):
-        for instant in cf:  # a running sum in instant order, whatever the row's shape
-            acc += instant
+    channels = samples.channels
+    blocks = _pulse_blocks([channels.ravel()], channels.shape[1], rows(), offsets, scratch)
+    for acc, (_, frames) in zip(total, blocks):
+        for _, cf in frames:
+            for instant in cf:  # a running sum in instant order, whatever the row's shape
+                acc += instant
     return CoherenceMap(
         grid=samples.grid, values=total / pulse_samples, kind=KIND_CFPL, pulse_samples=pulse_samples
     )
 
 
 def sa_frame(
-    data: ChannelDataSet, grid: PixelGrid, f_number: float,
-    pulse_samples: int = 1, centered: bool = False,
-) -> tuple[BeamformedImage, CoherenceMap, CoherenceMap]:
-    """SA image (with coverage), CF map and CFPL map from one pass over depth rows.
+    datasets, grid: PixelGrid, f_number: float, pulse_samples: int = 1, centered: bool = False,
+) -> list[tuple[BeamformedImage, CoherenceMap, CoherenceMap]]:
+    """SA image (with coverage), CF map and CFPL map of each dataset, in one pass over depth rows.
 
-    Bitwise equal to ``das_sa`` followed by ``coherence_factor`` and
-    ``coherence_factor_pl`` on its aperture, but nothing larger than one
-    row's (pulse_samples, nx, w) block is stored.  The image and coverage
-    come from the arrival instant, summed over the row's full window width,
-    CF is that instant's CF and CFPL the mean CF over all instants.
+    The datasets must share one delay plan: the same array, speed of sound,
+    sampling and element -> event map with its delays (``_plan_inputs``),
+    else ``ValidationError``.  Per depth row the windows, arrival positions,
+    gather indices, interpolation weights, support and valid counts are
+    computed once; per dataset only the interpolation, the sums and the CF
+    run, in buffers that do not grow with the number of datasets.  One frame
+    is a one-item batch.
+
+    Each triple is bitwise equal to ``das_sa`` followed by
+    ``coherence_factor`` and ``coherence_factor_pl`` on its aperture, but
+    nothing larger than one row's (pulse_samples, nx, w) block is stored.
+    The image and coverage come from the arrival instant, summed over the
+    row's full window width, CF is that instant's CF and CFPL the mean CF
+    over all instants.  The images share one coverage array.
     """
+    if not datasets:
+        raise ValidationError("sa_frame needs at least one dataset")
+    first = datasets[0]
+    plan = _plan_inputs(first)
+    if any(_plan_inputs(data) != plan for data in datasets[1:]):
+        raise ValidationError(
+            "datasets in one SA frame pass must share the array, speed of sound, "
+            "sampling and transmit events"
+        )
     offsets = _pulse_offsets(pulse_samples, centered)
     arrival = int(-offsets[0, 0, 0])
-    channels, _, width, rows = _sa_rows(data, grid, f_number)
-    values, cf, total = np.zeros((3, grid.nz, grid.nx))
-    coverage = np.zeros(values.shape, dtype=np.int64)
+    _, _, width, rows = _sa_rows(first, grid, f_number)
+    values, cf = np.zeros((2, len(datasets), grid.nz, grid.nx))
+    total = np.zeros(values.shape)  # apart, so it is freed once the CFPL means are taken
+    coverage = np.zeros((grid.nz, grid.nx), dtype=np.int64)
     scratch = _Scratch(pulse_samples * grid.nx * width)
-    for iz, (vals, valid, row_cf) in enumerate(_pulse_blocks(channels, rows, offsets, scratch)):
-        values[iz] = vals[arrival].sum(axis=-1)
+    flats = [data.channels.ravel() for data in datasets]
+    blocks = _pulse_blocks(flats, first.num_samples, rows, offsets, scratch)
+    for iz, (valid, frames) in enumerate(blocks):
         coverage[iz] = valid[arrival].sum(axis=-1)
-        cf[iz] = row_cf[arrival]
-        for instant in row_cf:
-            total[iz] += instant
-    image = BeamformedImage(
-        grid=grid, values=values, method=METHOD_SA, f_number=f_number, coverage=coverage
-    )
-    cfpl = CoherenceMap(grid, total / pulse_samples, KIND_CFPL, pulse_samples)
-    return image, CoherenceMap(grid, cf, KIND_CF), cfpl
+        for k, (vals, row_cf) in enumerate(frames):
+            values[k, iz] = vals[arrival].sum(axis=-1)
+            cf[k, iz] = row_cf[arrival]
+            for instant in row_cf:
+                total[k, iz] += instant
+    return [
+        (
+            BeamformedImage(
+                grid, values[k], method=METHOD_SA, f_number=f_number, coverage=coverage
+            ),
+            CoherenceMap(grid, cf[k], KIND_CF),
+            CoherenceMap(grid, total[k] / pulse_samples, KIND_CFPL, pulse_samples),
+        )
+        for k in range(len(datasets))
+    ]
 
 
 def apply_weighting(image: BeamformedImage, cmap: CoherenceMap) -> BeamformedImage:

@@ -150,69 +150,109 @@ class _Scratch:
         return buf[:size].reshape(shape)
 
 
+def _gather_plan(n: int, rows, pos: np.ndarray, scratch: _Scratch, member=None):
+    """Where and how to interpolate traces of ``n`` samples at ``pos``.
+
+    ``rows`` (trace indices) broadcasts to the shape of ``pos`` (fractional
+    sample indices).  Returns the flat index of each lower sample, its
+    weights ``frac`` and ``1 - frac``, the support mask (inside the trace
+    and, with a ``member`` mask broadcast the same way, a member) and its
+    complement.  The plan depends on no sample value, so one plan serves
+    every channel block of the same shape.
+    """
+    if n < 2:
+        raise ValidationError("channel traces must have at least 2 samples")
+    shape = pos.shape
+    support = np.greater_equal(pos, 0, out=scratch("support", shape, bool))
+    outside = scratch("outside", shape, bool)
+    support &= np.less_equal(pos, n - 1, out=outside)
+    if member is not None:
+        support &= member
+    k0 = np.floor(pos, out=scratch("k0", shape))
+    np.clip(k0, 0, n - 2, out=k0)
+    index = scratch("index", shape, np.int64)
+    index[...] = k0
+    index += rows * n
+    frac = np.subtract(pos, k0, out=k0)
+    lower = np.subtract(1, frac, out=scratch("lower", shape))
+    return index, frac, lower, support, np.logical_not(support, out=outside)
+
+
+def _interpolate(flat: np.ndarray, plan, scratch: _Scratch) -> np.ndarray:
+    """Samples of the flattened traces ``flat`` at a ``_gather_plan``; 0 off its support."""
+    index, frac, lower, _, outside = plan
+    v = flat.take(index, out=scratch("v", index.shape), mode="clip")
+    upper = flat[1:].take(index, out=scratch("upper", index.shape), mode="clip")
+    upper *= frac
+    v *= lower
+    v += upper
+    np.copyto(v, 0.0, where=outside)
+    return v
+
+
 def _gather(
     channels: np.ndarray, rows, pos: np.ndarray, scratch: _Scratch | None = None, member=None
 ):
     """Linear-interpolated samples ``channels[rows, pos]`` with a support mask.
 
-    ``rows`` (trace indices) broadcasts to the shape of ``pos`` (fractional
-    sample indices).  The flattened traces are indexed directly, so only the
-    requested samples are read; samples outside the trace are 0.  A
-    ``member`` mask, broadcast the same way, narrows the support, so
-    non-members are 0 too.  With a ``scratch`` the results live in its
+    The flattened traces are indexed directly, so only the requested samples
+    are read; samples outside the trace, or off the ``member`` mask, are 0
+    (see ``_gather_plan``).  With a ``scratch`` the results live in its
     buffers, so repeated large gathers do not allocate.
     """
-    n = channels.shape[1]
-    if n < 2:
-        raise ValidationError("channel traces must have at least 2 samples")
     buf = scratch or _Scratch()
-    shape = pos.shape
-    support = np.greater_equal(pos, 0, out=buf("support", shape, bool))
-    outside = buf("outside", shape, bool)
-    support &= np.less_equal(pos, n - 1, out=outside)
-    if member is not None:
-        support &= member
-    k0 = np.floor(pos, out=buf("k0", shape))
-    np.clip(k0, 0, n - 2, out=k0)
-    index = buf("index", shape, np.int64)
-    index[...] = k0
-    index += rows * n
-    frac = np.subtract(pos, k0, out=k0)
-    flat = channels.ravel()
-    v = flat.take(index, out=buf("v", shape), mode="clip")
-    upper = flat[1:].take(index, out=buf("upper", shape), mode="clip")
-    upper *= frac
-    v *= np.subtract(1, frac, out=frac)
-    v += upper
-    np.copyto(v, 0.0, where=np.logical_not(support, out=outside))
-    return v, support
+    plan = _gather_plan(channels.shape[1], rows, pos, buf, member)
+    return _interpolate(channels.ravel(), plan, buf), plan[3]
+
+
+def _element_map(data: ChannelDataSet):
+    """Channel row (-1 if none) and transmit delay of every element.
+
+    Every event must be single-element, and no element may transmit twice.
+    """
+    m = data.geometry.num_elements
+    trace_of_elem = np.full(m, -1, dtype=np.int64)
+    elem_delay = np.zeros(m)
+    for row, ev in enumerate(data.events):
+        i = ev.single_element_index()
+        if trace_of_elem[i] >= 0:
+            raise InvalidEventError(f"element {i} transmitted in more than one event")
+        trace_of_elem[i] = row
+        elem_delay[i] = ev.delays[i]
+    return trace_of_elem, elem_delay
+
+
+def _plan_inputs(data: ChannelDataSet) -> tuple:
+    """What an SA delay plan reads from a dataset besides the grid and F-number.
+
+    The array, the speed of sound, the sampling (rate, t0, trace length) and
+    the element -> event map with its delays; never the recorded samples.
+    """
+    trace_of_elem, elem_delay = _element_map(data)
+    return (
+        data.geometry, data.medium.sos, data.sample_rate, data.t0, data.num_samples,
+        trace_of_elem.tobytes(), elem_delay.tobytes(),
+    )
 
 
 def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
     """Row setup shared by every SA beamformer.
 
-    Returns the channels indexed by element (zero rows where an element has
-    no event), the window starts ``lo`` (nz, nx), the grid's widest window
-    and a generator over depth rows.  Row ``iz`` yields its lanes' elements,
-    sub-aperture membership and arrival positions (fractional sample indices),
-    each (nx, w) for the row's widest window ``w``, and its lanes up to the last member.
+    Returns the channel row of each element (-1 where an element has no
+    event), the window starts ``lo`` (nz, nx), the grid's widest window and a
+    generator over depth rows.  Row ``iz`` yields its lanes' channel rows,
+    sub-aperture membership and arrival positions (fractional sample
+    indices), each (nx, w) for the row's widest window ``w``, and its lanes up
+    to the last member.  A lane whose element has no event reads row 0 and is
+    never a member.  Nothing here reads a sample, so the rows serve every
+    dataset with the same ``_plan_inputs``.
     """
     geometry = data.geometry
     m = geometry.num_elements
     elem_x = geometry.element_positions()
-
-    # Map element index -> channel row; every event must be single-element.
-    chan_of_elem = np.full(m, -1, dtype=np.int64)
-    elem_delay = np.zeros(m)
-    for row, ev in enumerate(data.events):
-        i = ev.single_element_index()
-        if chan_of_elem[i] >= 0:
-            raise InvalidEventError(f"element {i} transmitted in more than one event")
-        chan_of_elem[i] = row
-        elem_delay[i] = ev.delays[i]
-    has_channel = chan_of_elem >= 0
-    channels = np.zeros((m, data.num_samples))
-    channels[has_channel] = data.channels[chan_of_elem[has_channel]]
+    trace_of_elem, elem_delay = _element_map(data)
+    has_channel = trace_of_elem >= 0
+    trace_row = np.maximum(trace_of_elem, 0)
 
     xs = grid.x_coords()
     zs = grid.z_coords()
@@ -230,9 +270,9 @@ def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
             elem = _lane_elements(lo[iz], w, m)
             member = (np.arange(w) <= span[iz][:, None]) & has_channel[elem]
             tau = elem_delay[elem] + np.hypot(xs[:, None] - elem_x[elem], zs[iz]) / c
-            yield elem, member, (tau - data.t0) * data.sample_rate, int(used[iz])
+            yield trace_row[elem], member, (tau - data.t0) * data.sample_rate, int(used[iz])
 
-    return channels, lo, int(span.max()) + 1, rows()
+    return trace_of_elem, lo, int(span.max()) + 1, rows()
 
 
 def das_sa(
@@ -248,7 +288,7 @@ def das_sa(
     run in one loop on the calling thread; ``threads`` is accepted and
     ignored.
     """
-    channels, lo, width, rows = _sa_rows(data, grid, f_number)
+    trace_of_elem, lo, width, rows = _sa_rows(data, grid, f_number)
     shape = (grid.nz, grid.nx, width)
     values = np.zeros((grid.nz, grid.nx))
     samples = np.zeros(shape)
@@ -256,15 +296,19 @@ def das_sa(
     valid = np.zeros(shape, dtype=bool)
     positions = np.full(shape, -1.0)
 
-    for iz, (elem, row_member, pos, _) in enumerate(rows):
+    for iz, (trace, row_member, pos, _) in enumerate(rows):
         w = pos.shape[1]
-        vals, row_valid = _gather(channels, elem, pos, member=row_member)
+        vals, row_valid = _gather(data.channels, trace, pos, member=row_member)
         values[iz] = vals.sum(axis=1)
         samples[iz, :, :w] = vals
         member[iz, :, :w] = row_member
         valid[iz, :, :w] = row_valid
         positions[iz, :, :w] = pos
 
+    # the stored aperture re-gathers by element: channels in element order
+    has_channel = trace_of_elem >= 0
+    channels = np.zeros((data.geometry.num_elements, data.num_samples))
+    channels[has_channel] = data.channels[trace_of_elem[has_channel]]
     aperture = ApertureSamples(grid, samples, member, valid, positions, channels, lo)
     image = BeamformedImage(
         grid=grid, values=values, method=METHOD_SA, f_number=f_number, coverage=valid.sum(axis=2)

@@ -431,16 +431,29 @@ def scenario_to_dict(s: Scenario) -> dict:
     return doc
 
 
+# libyaml's loader when PyYAML was built with it; both resolve the same tags
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def parse_scenario(text: str, where: str) -> Scenario:
+    """Parse a scenario from YAML text; errors name ``where`` (a file path)."""
+    try:
+        doc = yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ScenarioError(where, f"not valid YAML: {exc}") from exc
+    if doc is None:
+        raise ScenarioError(where, "scenario file is empty")
+    return scenario_from_dict(doc)
+
+
 def load_scenario(path) -> Scenario:
     try:
-        doc = yaml.safe_load(Path(path).read_text())
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(str(path), f"cannot read: {exc.strerror or exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ScenarioError(str(path), f"not valid YAML: {exc}") from exc
-    if doc is None:
-        raise ScenarioError(str(path), "scenario file is empty")
-    return scenario_from_dict(doc)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(str(path), f"not UTF-8 text: {exc}") from exc
+    return parse_scenario(text, str(path))
 
 
 def save_scenario(path, s: Scenario) -> None:
@@ -579,12 +592,17 @@ def build_events(s: Scenario):
         centers = geometry.element_positions()
     else:
         centers = np.asarray(s.transmit.line_centers, dtype=float) * MM
-        grid = build_pixel_grid(s)  # fus_line_map puts a line in the column nearest its center
-        col = np.ceil((centers - grid.origin[0]) / grid.dx - 0.5)
+        # fus_line_map images a line at its nearest (most-delayed) element, in
+        # the grid column nearest that element: both must lie on the grid
+        line_x = geometry.element_positions()[[geometry.nearest_element(x) for x in centers]]
+        grid = build_pixel_grid(s)
+        col = np.ceil((np.concatenate([centers, line_x]) - grid.origin[0]) / grid.dx - 0.5)
         if np.any((col < 0) | (col >= grid.nx)):
             x0, x1 = grid.x_coords()[[0, -1]] / MM
-            raise ScenarioError("scenario.transmit.line_centers",
-                                f"a center lies off the grid's x-range {x0:g} to {x1:g} mm")
+            raise ScenarioError(
+                "scenario.transmit.line_centers",
+                f"a center or its nearest element lies off the grid's x-range {x0:g} to {x1:g} mm",
+            )
     return focused_sequence(
         geometry, build_medium(s), s.transmit.focal_depth_mm * MM, centers
     )

@@ -15,14 +15,13 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import io as aio
 from .cli import (
-    METRICS_HEADER, evaluate_images, load_channels, reconstruct_bundles, run_reconstruct, run_simulate,
+    METRICS_HEADER, evaluate_images, load_channels, reconstruct_bundles, run_simulate,
 )
 from .metrics import peak_pixel
-from .scenario import Scenario, build_targets, scenario_from_dict, shift_depth
+from .scenario import Scenario, build_targets, parse_scenario, shift_depth
 
 MM = 1e-3
 DEPTH_SHIFTS_MM = (0.0, 10.0, 20.0)
@@ -31,8 +30,8 @@ SHAM_AVERAGES = (8, 32, 128)
 
 
 def bundled_scenario(name: str) -> Scenario:
-    text = (resources.files("aesynth") / "scenarios" / f"{name}.yaml").read_text()
-    return scenario_from_dict(yaml.safe_load(text))
+    path = resources.files("aesynth") / "scenarios" / f"{name}.yaml"
+    return parse_scenario(path.read_text(encoding="utf-8"), str(path))
 
 
 def _with_groups(s: Scenario) -> Scenario:
@@ -89,6 +88,83 @@ def _pool(rows, medium_name, method, weighting, key, group=None):
     return float(np.mean(vals)) if vals else None
 
 
+def _reconstruct(jobs) -> list[dict]:
+    """``reconstruct_bundles`` over ``(scenario, channel path, prefixes)`` jobs.
+
+    Each scene gets its scenario's own amplitude correction: on for the
+    depth pair only.
+    """
+    scenes = [(load_channels(path, s), s, prefixes, path) for s, path, prefixes in jobs]
+    return reconstruct_bundles(scenes)
+
+
+def _depth_rows(base: Scenario, medium_name: str, no_noise: bool, channels_dir: Path,
+                images_dir: Path, checks: Checks, summary: list[str]) -> list[dict]:
+    """Simulate, image and score one medium at every depth shift; its metric rows.
+
+    The three SA scenes share one delay plan, so one SA pass beamforms them
+    all.  Adds each depth's localization checks and simulate lines.
+    """
+    lam_mm = base.medium.sos / base.pulse.center_frequency / MM
+    medium_rows, depths = [], []
+    for shift in DEPTH_SHIFTS_MM:
+        scene = _with_groups(shift_depth(base, shift))
+        scene_tag = f"{medium_name}_d{int(shift):02d}"
+        jobs = {}
+        for scheme in ("sa", "fus"):
+            variant = _with_scheme(scene, scheme)
+            ch_path = channels_dir / f"{scene_tag}_{scheme}.aecd"
+            info = run_simulate(variant, ch_path, no_noise=no_noise)
+            summary.append(
+                f"{scene_tag}_{scheme}: m_tx={info['m_tx']} t={info['t']} sha256={info['sha256'][:16]}"
+            )
+            weightings = ("none", "cf", "cfpl") if scheme == "sa" else ("none",)
+            prefixes = {
+                w: str(images_dir / f"{scene_tag}_{scheme}{'' if w == 'none' else '_' + w}")
+                for w in weightings
+            }
+            jobs[scheme] = (variant, ch_path, prefixes)
+        depths.append((scene, scene_tag, jobs))
+
+    sa_results = _reconstruct([jobs["sa"] for _, _, jobs in depths])
+    for (scene, scene_tag, jobs), sa_result in zip(depths, sa_results):
+        (fus_result,) = _reconstruct([jobs["fus"]])
+        images = []
+        for (_, _, prefixes), result in ((jobs["sa"], sa_result), (jobs["fus"], fus_result)):
+            images += [(prefixes[w], result["images"][w], w) for w in prefixes]
+        rows = evaluate_images(images, scene)
+        for r in rows:
+            r["scene"] = scene_tag
+        medium_rows.extend(rows)
+
+        # localization: sa peaks near the declared targets; fus only on
+        # focus.  Extended (disc) sources image edge-bright, so their
+        # radius is part of the tolerance.
+        extent_mm = max(
+            (src.radius_mm or 0.0 for src in scene.sources if src.kind == "disc"),
+            default=0.0,
+        )
+        tol_mm = lam_mm / 2 + extent_mm
+        for t in scene.targets:
+            for r in rows:
+                if r["target"] != t.label or r["peak_x_mm"] is None:
+                    continue
+                err = np.hypot(r["peak_x_mm"] - t.x_mm, r["peak_z_mm"] - t.z_mm)
+                if r["method"] == "sa" and r["weighting"] == "none":
+                    checks.add(
+                        f"{scene_tag} sa localization {t.label}",
+                        err <= tol_mm,
+                        f"error {err:.3f} mm (tol {tol_mm:.2f})",
+                    )
+                if r["method"] == "fus" and t.group == "on_focus":
+                    checks.add(
+                        f"{scene_tag} fus on-focus localization {t.label}",
+                        err <= tol_mm,
+                        f"error {err:.3f} mm (tol {tol_mm:.2f})",
+                    )
+    return medium_rows
+
+
 def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int = 1) -> int:
     """Run the experiment matrix into ``out_dir``; 0 if every check passes.
 
@@ -107,58 +183,9 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
     for medium_name in ("saline-points", "nerve-disc"):
         base = bundled_scenario(medium_name.replace("-", "_"))
         base = dataclasses.replace(base, seed=seed)
-        lam_mm = base.medium.sos / base.pulse.center_frequency / MM
-        for shift in DEPTH_SHIFTS_MM:
-            scene = _with_groups(shift_depth(base, shift))
-            scene_tag = f"{medium_name}_d{int(shift):02d}"
-            images = []
-            for scheme in ("sa", "fus"):
-                variant = _with_scheme(scene, scheme)
-                ch_path = channels_dir / f"{scene_tag}_{scheme}.aecd"
-                info = run_simulate(variant, ch_path, no_noise=no_noise)
-                summary.append(
-                    f"{scene_tag}_{scheme}: m_tx={info['m_tx']} t={info['t']} sha256={info['sha256'][:16]}"
-                )
-                weightings = ("none", "cf", "cfpl") if scheme == "sa" else ("none",)
-                prefixes = {
-                    w: str(images_dir / f"{scene_tag}_{scheme}{'' if w == 'none' else '_' + w}")
-                    for w in weightings
-                }
-                result = reconstruct_bundles(
-                    load_channels(ch_path, variant), variant, prefixes, ch_path,
-                    do_amplitude_correct=False,
-                )
-                images += [(prefixes[w], result["images"][w], w) for w in weightings]
-            rows = evaluate_images(images, scene)
-            for r in rows:
-                r["scene"] = scene_tag
-            all_rows.extend(rows)
-
-            # localization: sa peaks near the declared targets; fus only on
-            # focus.  Extended (disc) sources image edge-bright, so their
-            # radius is part of the tolerance.
-            extent_mm = max(
-                (src.radius_mm or 0.0 for src in scene.sources if src.kind == "disc"),
-                default=0.0,
-            )
-            tol_mm = lam_mm / 2 + extent_mm
-            for t in scene.targets:
-                for r in rows:
-                    if r["target"] != t.label or r["peak_x_mm"] is None:
-                        continue
-                    err = np.hypot(r["peak_x_mm"] - t.x_mm, r["peak_z_mm"] - t.z_mm)
-                    if r["method"] == "sa" and r["weighting"] == "none":
-                        checks.add(
-                            f"{scene_tag} sa localization {t.label}",
-                            err <= tol_mm,
-                            f"error {err:.3f} mm (tol {tol_mm:.2f})",
-                        )
-                    if r["method"] == "fus" and t.group == "on_focus":
-                        checks.add(
-                            f"{scene_tag} fus on-focus localization {t.label}",
-                            err <= tol_mm,
-                            f"error {err:.3f} mm (tol {tol_mm:.2f})",
-                        )
+        all_rows += _depth_rows(
+            base, medium_name, no_noise, channels_dir, images_dir, checks, summary
+        )
 
         # qualitative orderings pooled over the three depths (Figs. 7-8 style).
         # Point targets keep their lateral advantage unweighted; the uniform
@@ -199,35 +226,14 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
                 for lhs, op, rhs in orders:
                     checks.order(f"{medium_name} SNR: {lhs} {op} {rhs}", snr[lhs], op, snr[rhs], "dB")
 
-    # amplitude-correction pair scene (noise-free by construction)
+    # the amplitude-correction pair scene (noise-free by construction) and
+    # the sham (zero-source) averages share one delay plan and one SA pass
     pair = dataclasses.replace(bundled_scenario("depth_pair"), seed=seed)
     ch_path = channels_dir / "depth_pair_sa.aecd"
     run_simulate(pair, ch_path, no_noise=no_noise)
-    result = run_reconstruct(
-        ch_path, pair, str(images_dir / "depth_pair_sa"),
-        weighting="none", do_amplitude_correct=True,
-    )
-    targets = build_targets(pair)
-    shallow, deep = targets[0], targets[1]
-    pre = (
-        peak_pixel(result["image"], deep.signal_roi)[2]
-        / peak_pixel(result["image"], shallow.signal_roi)[2]
-    )
-    post = (
-        peak_pixel(result["corrected"], deep.signal_roi)[2]
-        / peak_pixel(result["corrected"], shallow.signal_roi)[2]
-    )
-    checks.add("amplitude correction pre-ratio >= 1.8", pre >= 1.8, f"ratio {pre:.2f}")
-    checks.add(
-        "amplitude correction post-ratio in [0.8, 1.25]",
-        0.8 <= post <= 1.25,
-        f"ratio {post:.2f}",
-    )
-
-    # sham sweep: zero sources, background falls with averaging
+    jobs = [(pair, ch_path, {"none": str(images_dir / "depth_pair_sa")})]
     if not no_noise:
         sham = dataclasses.replace(bundled_scenario("sham"), seed=seed)
-        bg_means = []
         for k in SHAM_AVERAGES:
             variant = dataclasses.replace(
                 sham, acquisition=dataclasses.replace(sham.acquisition, averages=k)
@@ -237,10 +243,25 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
             prefixes = {"none": str(images_dir / f"sham_k{k}")}
             if k == SHAM_AVERAGES[0]:
                 prefixes["cf"] = None  # the CF check's map, not written
-            result = reconstruct_bundles(
-                load_channels(ch_path, variant), variant, prefixes, ch_path,
-                do_amplitude_correct=False,
-            )
+            jobs.append((variant, ch_path, prefixes))
+    pair_result, *sham_results = _reconstruct(jobs)
+
+    targets = build_targets(pair)
+    shallow, deep = targets[0], targets[1]
+    image, corrected = pair_result["images"]["none"], pair_result["corrected"]["none"]
+    pre = peak_pixel(image, deep.signal_roi)[2] / peak_pixel(image, shallow.signal_roi)[2]
+    post = peak_pixel(corrected, deep.signal_roi)[2] / peak_pixel(corrected, shallow.signal_roi)[2]
+    checks.add("amplitude correction pre-ratio >= 1.8", pre >= 1.8, f"ratio {pre:.2f}")
+    checks.add(
+        "amplitude correction post-ratio in [0.8, 1.25]",
+        0.8 <= post <= 1.25,
+        f"ratio {post:.2f}",
+    )
+
+    # sham sweep: zero sources, background falls with averaging
+    if not no_noise:
+        bg_means = []
+        for result in sham_results:
             image = result["images"]["none"]
             bg_means.append(float(image.envelope.mean()))
             if "cf" in result["maps"]:

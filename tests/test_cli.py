@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
+import aesynth
 from aesynth.cli import main
 from aesynth.io import read_channel_file, sha256_file
 
@@ -131,6 +137,25 @@ def test_missing_scenario_path_exits_2(tmp_path, scenario_file, capsys, verb):
     }[verb]
     assert main([verb, "--scenario", str(missing), *argv]) == 2
     assert str(missing) in capsys.readouterr().err
+
+
+def test_non_utf8_scenario_exits_2(tmp_path, capsys):
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(b"\xff\xfe\x00\x81\x80")
+    assert main(["simulate", "--scenario", str(binary), "--out", str(tmp_path / "x.aecd")]) == 2
+    err = capsys.readouterr().err
+    assert str(binary) in err and "UTF-8" in err
+
+
+def test_python_m_aesynth_runs_the_cli():
+    # the package as imported here, also when it is not installed
+    src = str(Path(aesynth.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "aesynth", "--help"], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert "paper-suite" in done.stdout
 
 
 class TestReconstruct:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from aesynth import (
 from aesynth.cli import load_channels, run_simulate
 from aesynth.coherence import _cf_values, _lanes_used, sa_frame
 from aesynth.errors import GridMismatchError, ValidationError
-from aesynth.forward import ChannelDataSet
+from aesynth.forward import ChannelDataSet, TransmitEvent
 from aesynth.reconstruct import BeamformedImage, _sa_rows
 from aesynth.scenario import (
     build_events,
@@ -138,8 +139,7 @@ class TestCoherenceFactor:
     def test_bounds_on_random_vectors(self, seed, m):
         rng = np.random.default_rng(seed)
         vals = rng.normal(size=(20, m)) * 10 ** rng.uniform(-3, 3)
-        valid = np.ones((20, m), dtype=bool)
-        cf = _cf_values(vals, valid)
+        cf = _cf_values(vals, np.full(20, m))
         assert np.all(cf >= 0) and np.all(cf <= 1)
 
     @settings(max_examples=25, deadline=None)
@@ -147,9 +147,9 @@ class TestCoherenceFactor:
     def test_invariant_to_global_scaling(self, seed, alpha):
         rng = np.random.default_rng(seed)
         vals = rng.normal(size=(10, 16))
-        valid = np.ones((10, 16), dtype=bool)
+        count = np.full(10, 16)
         np.testing.assert_allclose(
-            _cf_values(alpha * vals, valid), _cf_values(vals, valid), atol=1e-12
+            _cf_values(alpha * vals, count), _cf_values(vals, count), atol=1e-12
         )
 
     def test_noiseless_point_source_is_coherent(self):
@@ -377,7 +377,7 @@ class TestFusedFrame:
         cf = coherence_factor(aperture)
         cfpl = coherence_factor_pl(aperture, pulse_samples=pulse_samples, centered=centered)
 
-        fused, fused_cf, fused_cfpl = sa_frame(data, grid, f_number, pulse_samples, centered)
+        ((fused, fused_cf, fused_cfpl),) = sa_frame([data], grid, f_number, pulse_samples, centered)
         assert np.array_equal(fused.values, image.values)
         assert np.array_equal(fused.coverage, image.coverage)
         assert fused.coverage.dtype == image.coverage.dtype
@@ -409,7 +409,7 @@ class TestFusedFrame:
     def test_rejects_bad_pulse_samples(self):
         data, grid = band_scene(1, 8, 60, 3, 3, -1e-3, 2e-3, False)
         with pytest.raises(ValidationError):
-            sa_frame(data, grid, 1.0, pulse_samples=0)
+            sa_frame([data], grid, 1.0, pulse_samples=0)
 
     def test_nerve_disc_frame_peak_allocation(self, tmp_path):
         """An M=64 desk frame stores no aperture cube (about 22 MB)."""
@@ -422,13 +422,92 @@ class TestFusedFrame:
         tracemalloc.start()
         try:
             sa_frame(
-                data, grid, scenario.reconstruction.f_number,
+                [data], grid, scenario.reconstruction.f_number,
                 data.pulse.length_samples, scenario.reconstruction.cfpl_centered,
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def bits(a):
+    """An array's bit patterns, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def plan_sharing_batch(data, k, seed):
+    """``data`` and ``k - 1`` datasets with its plan and independent channels."""
+    rng = np.random.default_rng(seed)
+    others = [
+        dataclasses.replace(data, channels=rng.normal(size=data.channels.shape) * 10.0 ** i)
+        for i in range(1, k)
+    ]
+    return [data, *others]
+
+
+class TestFrameBatch:
+    """A batched ``sa_frame`` gives every dataset the bits of its own three-kernel run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), last=st.booleans(), **BAND_SCENES)
+    @example(k=4, seed=3, m=12, trace_len=90, nx=7, nz=6, x0=0.9e-3, z0=1.0e-3, f_number=0.6,
+             missing=True, last=True, pulse_samples=9, centered=True)
+    @example(k=3, seed=5, m=16, trace_len=40, nx=7, nz=6, x0=-4e-3, z0=2e-3, f_number=0.8,
+             missing=False, last=False, pulse_samples=1, centered=False)
+    def test_matches_per_dataset_kernels_bitwise(
+        self, k, seed, m, trace_len, nx, nz, x0, z0, f_number, missing, last, pulse_samples,
+        centered,
+    ):
+        data, grid = band_scene(seed, m, trace_len, nx, nz, x0, z0, missing, last)
+        batch = plan_sharing_batch(data, k, seed + 1)
+        frames = sa_frame(batch, grid, f_number, pulse_samples, centered)
+        assert len(frames) == k
+        for one, (image, cf, cfpl) in zip(batch, frames):
+            want_image, aperture = das_sa(one, grid, f_number)
+            want_cf = coherence_factor(aperture)
+            want_cfpl = coherence_factor_pl(aperture, pulse_samples, centered)
+            assert np.array_equal(bits(image.values), bits(want_image.values))
+            assert np.array_equal(image.coverage, want_image.coverage)
+            assert image.coverage.dtype == want_image.coverage.dtype
+            assert np.array_equal(bits(cf.values), bits(want_cf.values))
+            assert np.array_equal(bits(cfpl.values), bits(want_cfpl.values))
+            assert cfpl.pulse_samples == pulse_samples
+
+    @pytest.mark.parametrize("change", [
+        "pitch", "elements", "sos", "sample_rate", "t0", "trace_length", "missing_event",
+        "event_order", "delay",
+    ])
+    def test_rejects_datasets_with_another_plan(self, change):
+        data, grid = band_scene(7, 8, 60, 3, 4, -1e-3, 2e-3, False)
+        events = list(data.events)
+        other = {
+            "pitch": lambda: dataclasses.replace(
+                data, geometry=ArrayGeometry(num_elements=8, pitch=0.31e-3)
+            ),
+            "elements": lambda: dataclasses.replace(
+                data, geometry=ArrayGeometry(num_elements=9, pitch=0.3e-3)
+            ),
+            "sos": lambda: dataclasses.replace(data, medium=Medium(sos=1500.0)),
+            "sample_rate": lambda: dataclasses.replace(data, sample_rate=32e6),
+            "t0": lambda: dataclasses.replace(data, t0=data.t0 + 1e-7),
+            "trace_length": lambda: dataclasses.replace(data, channels=data.channels[:, :-1]),
+            "missing_event": lambda: dataclasses.replace(
+                data, channels=data.channels[1:], events=events[1:]
+            ),
+            "event_order": lambda: dataclasses.replace(data, events=events[::-1]),
+            "delay": lambda: dataclasses.replace(data, events=[
+                TransmitEvent(delays=ev.delays + 1e-7, active=ev.active) for ev in events
+            ]),
+        }[change]()
+        with pytest.raises(ValidationError, match="share"):
+            sa_frame([data, other], grid, 1.0)
+        sa_frame([data, dataclasses.replace(data)], grid, 1.0)  # the same plan passes
+
+    def test_rejects_empty_batch(self):
+        _, grid = band_scene(7, 8, 60, 3, 4, -1e-3, 2e-3, False)
+        with pytest.raises(ValidationError):
+            sa_frame([], grid, 1.0)
 
 
 class TestApplyWeighting:

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 import yaml
@@ -20,6 +22,7 @@ from aesynth.scenario import (
     scenario_to_dict,
     shift_depth,
 )
+from aesynth.suite import bundled_scenario
 
 MINIMAL = {"name": "t", "seed": 3}
 
@@ -239,12 +242,36 @@ class TestBuilders:
         assert info.value.path == "scenario.transmit.line_centers"
         assert f"{x1:g} mm" in str(info.value)
 
+    def test_line_center_whose_nearest_element_is_off_grid_rejected(self):
+        # 1.05 mm lies on the grid, but its nearest element (1.25 mm), where
+        # fus_line_map images the line, does not
+        doc = {
+            "name": "t", "seed": 3,
+            "geometry": {"num_elements": 16, "pitch_mm": 0.5},
+            "transmit": {"scheme": "fus", "focal_depth_mm": 10.0, "line_centers": [0.0, 1.05]},
+            "reconstruction": {"grid": {"x0_mm": -1.0, "z0_mm": 1.0, "dx_mm": 0.1,
+                                        "dz_mm": 0.1, "nx": 21, "nz": 50}},
+        }
+        with pytest.raises(ScenarioError) as info:
+            build_events(scenario_from_dict(doc))
+        assert info.value.path == "scenario.transmit.line_centers"
+        doc["transmit"]["line_centers"] = [0.0, 0.9]  # nearest element 0.75 mm
+        assert len(build_events(scenario_from_dict(doc))) == 2
+
     def test_targets_converted(self):
         s = scenario_from_dict(dict(FULL))
         (t,) = build_targets(s)
         assert t.position == (pytest.approx(-2e-3), pytest.approx(12e-3))
         assert t.signal_roi.x0 == pytest.approx(-3e-3)
         assert t.group == "on_focus"
+
+
+@pytest.mark.parametrize("name", ["saline_points", "nerve_disc", "depth_pair", "sham"])
+def test_bundled_scenario_parses_as_with_the_python_loader(name):
+    path = resources.files("aesynth") / "scenarios" / f"{name}.yaml"
+    doc = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+    assert bundled_scenario(name) == scenario_from_dict(doc)
+    assert load_scenario(path) == scenario_from_dict(doc)
 
 
 class TestShiftDepth:

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import shutil
 
 from aesynth import cli, suite
 from aesynth import io as aio
@@ -13,20 +15,30 @@ def counting(calls, name, func):
     return wrapper
 
 
+def counting_frames(calls, func):
+    def wrapper(datasets, *args, **kwargs):
+        calls["sa_frame"] += 1
+        calls["datasets"] += len(datasets)
+        return func(datasets, *args, **kwargs)
+
+    return wrapper
+
+
 def test_one_beamform_per_scene_and_metrics_from_memory(tmp_path, monkeypatch, capsys):
-    calls = {"sa_frame": 0, "read_values_csv": 0}
+    calls = {"sa_frame": 0, "datasets": 0, "read_values_csv": 0}
     # the suite reconstructs through cli only, and cli stores no aperture
     for module in (cli, suite):
         for name in ("das_sa", "coherence_factor", "coherence_factor_pl"):
             assert not hasattr(module, name), (module.__name__, name)
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "sa_frame", counting(calls, "sa_frame", cli.sa_frame))
+        patch.setattr(cli, "sa_frame", counting_frames(calls, cli.sa_frame))
         patch.setattr(
             aio, "read_values_csv", counting(calls, "read_values_csv", aio.read_values_csv)
         )
         assert suite.run_paper_suite(tmp_path, seed=7) == 0
-    # six SA scenes, the amplitude-correction pair and three sham averages
-    assert calls == {"sa_frame": 10, "read_values_csv": 0}
+    # six SA scenes, the amplitude-correction pair and three sham averages, in
+    # one pass per medium and one for the pair with the sham averages
+    assert calls == {"sa_frame": 3, "datasets": 10, "read_values_csv": 0}
 
     # the in-memory scores equal those of the bundles read back from disk
     header = ["scene"] + cli.METRICS_HEADER
@@ -45,3 +57,31 @@ def test_one_beamform_per_scene_and_metrics_from_memory(tmp_path, monkeypatch, c
                 row["scene"] = tag
                 expected.append(",".join(aio.format_metric(row.get(k)) for k in header))
     assert (tmp_path / "metrics.csv").read_text().splitlines() == expected
+
+
+def tree_digests(root):
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+def test_batched_passes_write_the_per_frame_tree(tmp_path, monkeypatch, capsys):
+    """Splitting every SA pass into one-frame passes changes no byte and no line."""
+    out = tmp_path / "suite"
+    assert suite.run_paper_suite(out, seed=7) == 0
+    batched, batched_stdout = tree_digests(out), capsys.readouterr().out
+
+    frame = cli.sa_frame
+    sizes = []
+
+    def one_at_a_time(datasets, *args, **kwargs):
+        sizes.append(len(datasets))
+        return [result for data in datasets for result in frame([data], *args, **kwargs)]
+
+    monkeypatch.setattr(cli, "sa_frame", one_at_a_time)
+    shutil.rmtree(out)  # the same path again: sidecars name their channel files
+    assert suite.run_paper_suite(out, seed=7) == 0
+    assert sizes == [3, 3, 4]
+    assert tree_digests(out) == batched
+    assert capsys.readouterr().out == batched_stdout
