@@ -36,13 +36,11 @@ from .forward import (
     ChannelDataSet,
     PressureModel,
     TransmitEvent,
-    element_beam_amplitude,
     focused_sequence,
     pulse_waveform,
     simulate_channel,
     simulate_dataset,
     single_element_sequence,
-    time_of_flight,
     trace_length,
 )
 from .metrics import (
@@ -61,7 +59,6 @@ from .reconstruct import (
     das_sa,
     envelope,
     fus_line_map,
-    sub_aperture_elements,
     sub_aperture_size,
 )
 from .scenario import Scenario, load_scenario, save_scenario

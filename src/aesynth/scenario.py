@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,14 @@ from .metrics import Rect, TargetSpec
 MM = 1e-3
 WEIGHTINGS = ("none", "cf", "cfpl")
 
-_REQUIRED = object()
+# declared field type (a string: annotations are deferred in this module)
+# -> the Python types accepted for it and their name in errors
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "a boolean"),
+}
 
 
 def _mapping(node, path: str) -> dict:
@@ -45,45 +52,59 @@ def _mapping(node, path: str) -> dict:
     return dict(node)
 
 
-def _take(d: dict, key: str, path: str, kind, default=_REQUIRED):
-    if key not in d:
-        if default is _REQUIRED:
-            raise ScenarioError(f"{path}.{key}", "required field is missing")
-        return default
-    v = d.pop(key)
-    full = f"{path}.{key}"
-    if kind is float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError(full, f"expected a number, got {v!r}")
-        if not abs(v) <= sys.float_info.max:  # nan, +-inf, or an int past the float range
-            raise ScenarioError(full, f"expected a finite number, got {v!r}")
-        return float(v)
-    if kind is int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ScenarioError(full, f"expected an integer, got {v!r}")
+def _finite(v) -> bool:
+    # nan, +-inf and ints past the float range all fail the comparison
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _field(d: dict, cls, name: str, path: str):
+    """Pop field ``name`` of dataclass ``cls`` from ``d``, checked against
+    its declared type and defaulted as declared; ``X | None`` accepts null."""
+    f = cls.__dataclass_fields__[name]
+    kind, _, optional = f.type.partition(" | ")
+    full = f"{path}.{name}"
+    if name not in d:
+        if f.default is MISSING:
+            raise ScenarioError(full, "required field is missing")
+        return f.default
+    v = d.pop(name)
+    if v is None and optional == "None":
+        return None
+    types, noun = _KINDS[kind]
+    if not isinstance(v, types) or (isinstance(v, bool) and kind != "bool"):
+        raise ScenarioError(full, f"expected {noun}, got {v!r}")
+    if kind != "float":
         return v
-    if kind is bool:
-        if not isinstance(v, bool):
-            raise ScenarioError(full, f"expected a boolean, got {v!r}")
-        return v
-    if kind is str:
-        if not isinstance(v, str):
-            raise ScenarioError(full, f"expected a string, got {v!r}")
-        return v
-    raise AssertionError(kind)
+    if not _finite(v):
+        raise ScenarioError(full, f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _section(node, cls, path: str, **given):
+    """Read mapping ``node`` into dataclass ``cls``: fields in ``given`` are
+    already read, the rest go through :func:`_field` in declared order."""
+    d = _mapping(node, path)
+    for f in fields(cls):
+        if f.name not in given:
+            given[f.name] = _field(d, cls, f.name, path)
+    _no_extras(d, path)
+    return cls(**given)
+
+
+def _items(doc: dict, key: str, path: str) -> list:
+    nodes = doc.pop(key, [])
+    if not isinstance(nodes, list):
+        raise ScenarioError(f"{path}.{key}", "expected a list")
+    return nodes
 
 
 def _no_extras(d: dict, path: str) -> None:
     if d:
-        raise ScenarioError(path, f"unknown field(s): {', '.join(sorted(d))}")
+        raise ScenarioError(path, f"unknown field(s): {', '.join(sorted(map(str, d)))}")
 
 
 def _roi(node, path: str) -> tuple[float, float, float, float]:
-    if (
-        not isinstance(node, (list, tuple))
-        or len(node) != 4
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in node)
-    ):
+    if not isinstance(node, (list, tuple)) or len(node) != 4 or not all(map(_finite, node)):
         raise ScenarioError(path, "expected [x0, x1, z0, z1] in mm")
     return tuple(float(v) for v in node)
 
@@ -198,197 +219,97 @@ class Scenario:
 
 def scenario_from_dict(doc: dict, path: str = "scenario") -> Scenario:
     doc = _mapping(doc, path)
-    name = _take(doc, "name", path, str)
-    seed = _take(doc, "seed", path, int)
+    name = _field(doc, Scenario, "name", path)
+    seed = _field(doc, Scenario, "seed", path)
     if seed < 0:
         raise ScenarioError(f"{path}.seed", "must be >= 0")
-    description = _take(doc, "description", path, str, "")
+    description = _field(doc, Scenario, "description", path)
 
-    g = _mapping(doc.pop("geometry", None), f"{path}.geometry")
-    geometry = GeometryScenario(
-        num_elements=_take(g, "num_elements", f"{path}.geometry", int, 64),
-        pitch_mm=_take(g, "pitch_mm", f"{path}.geometry", float, 0.315),
-        center_x_mm=_take(g, "center_x_mm", f"{path}.geometry", float, 0.0),
-    )
-    _no_extras(g, f"{path}.geometry")
+    gpath = f"{path}.geometry"
+    geometry = _section(doc.pop("geometry", None), GeometryScenario, gpath)
     if not 1 <= geometry.num_elements <= MAX_ELEMENTS:
-        raise ScenarioError(f"{path}.geometry.num_elements", f"must be in [1, {MAX_ELEMENTS}]")
+        raise ScenarioError(f"{gpath}.num_elements", f"must be in [1, {MAX_ELEMENTS}]")
     if geometry.pitch_mm <= 0:
-        raise ScenarioError(f"{path}.geometry.pitch_mm", "must be > 0")
+        raise ScenarioError(f"{gpath}.pitch_mm", "must be > 0")
 
-    m = _mapping(doc.pop("medium", None), f"{path}.medium")
-    medium = MediumScenario(
-        sos=_take(m, "sos", f"{path}.medium", float, 1480.0),
-        k_i=_take(m, "k_i", f"{path}.medium", float, 1.0),
-        p0=_take(m, "p0", f"{path}.medium", float, 1.0),
-    )
-    _no_extras(m, f"{path}.medium")
+    medium = _section(doc.pop("medium", None), MediumScenario, f"{path}.medium")
     if medium.sos <= 0:
         raise ScenarioError(f"{path}.medium.sos", "must be > 0")
 
-    p = _mapping(doc.pop("pulse", None), f"{path}.pulse")
-    pulse = PulseScenario(
-        center_frequency=_take(p, "center_frequency", f"{path}.pulse", float, 2.0e6),
-        num_cycles=_take(p, "num_cycles", f"{path}.pulse", float, 1.0),
-        sample_rate=_take(p, "sample_rate", f"{path}.pulse", float, 16.0e6),
-        kind=_take(p, "kind", f"{path}.pulse", str, "tone"),
-    )
-    _no_extras(p, f"{path}.pulse")
+    pulse = _section(doc.pop("pulse", None), PulseScenario, f"{path}.pulse")
     if pulse.kind not in ("tone", "impulse"):
         raise ScenarioError(f"{path}.pulse.kind", "must be 'tone' or 'impulse'")
     if pulse.sample_rate < 8 * pulse.center_frequency:
-        raise ScenarioError(
-            f"{path}.pulse.sample_rate", "must be >= 8 x center_frequency"
-        )
+        raise ScenarioError(f"{path}.pulse.sample_rate", "must be >= 8 x center_frequency")
 
-    pm = _mapping(doc.pop("pressure_model", None), f"{path}.pressure_model")
-    pressure_model = PressureScenario(
-        decay=_take(pm, "decay", f"{path}.pressure_model", str, "none"),
-        r_min_mm=_take(pm, "r_min_mm", f"{path}.pressure_model", float, 0.1),
-        directivity=_take(pm, "directivity", f"{path}.pressure_model", str, "omni"),
-    )
-    _no_extras(pm, f"{path}.pressure_model")
+    ppath = f"{path}.pressure_model"
+    pressure_model = _section(doc.pop("pressure_model", None), PressureScenario, ppath)
     if pressure_model.decay not in ("none", "inverse_sqrt", "inverse"):
-        raise ScenarioError(f"{path}.pressure_model.decay", "unknown decay mode")
+        raise ScenarioError(f"{ppath}.decay", "unknown decay mode")
     if pressure_model.directivity not in ("omni", "cosine"):
-        raise ScenarioError(f"{path}.pressure_model.directivity", "unknown directivity")
+        raise ScenarioError(f"{ppath}.directivity", "unknown directivity")
     if pressure_model.r_min_mm <= 0:
-        raise ScenarioError(f"{path}.pressure_model.r_min_mm", "must be > 0")
+        raise ScenarioError(f"{ppath}.r_min_mm", "must be > 0")
 
-    a = _mapping(doc.pop("acquisition", None), f"{path}.acquisition")
-    acquisition = AcquisitionScenario(
-        averages=_take(a, "averages", f"{path}.acquisition", int, 1),
-        noise_power=_take(a, "noise_power", f"{path}.acquisition", float, 0.0),
-        common_mode_amplitude=_take(
-            a, "common_mode_amplitude", f"{path}.acquisition", float, 0.0
-        ),
-        rf_gain=_take(a, "rf_gain", f"{path}.acquisition", float, 1.0),
-    )
-    _no_extras(a, f"{path}.acquisition")
+    apath = f"{path}.acquisition"
+    acquisition = _section(doc.pop("acquisition", None), AcquisitionScenario, apath)
     if acquisition.averages < 1:
-        raise ScenarioError(f"{path}.acquisition.averages", "must be >= 1")
+        raise ScenarioError(f"{apath}.averages", "must be >= 1")
     if acquisition.noise_power < 0:
-        raise ScenarioError(f"{path}.acquisition.noise_power", "must be >= 0")
+        raise ScenarioError(f"{apath}.noise_power", "must be >= 0")
 
-    sim = _mapping(doc.pop("simulation", None), f"{path}.simulation")
-    if "amplitude_scale" in sim and sim["amplitude_scale"] is None:
-        sim.pop("amplitude_scale")
-        amplitude_scale = None
-    else:
-        amplitude_scale = _take(sim, "amplitude_scale", f"{path}.simulation", float, 1.0)
-    simulation = SimulationScenario(amplitude_scale=amplitude_scale)
-    _no_extras(sim, f"{path}.simulation")
+    simulation = _section(doc.pop("simulation", None), SimulationScenario, f"{path}.simulation")
 
     sources = []
-    src_nodes = doc.pop("sources", [])
-    if not isinstance(src_nodes, list):
-        raise ScenarioError(f"{path}.sources", "expected a list")
-    for i, node in enumerate(src_nodes):
+    for i, node in enumerate(_items(doc, "sources", path)):
         spath = f"{path}.sources[{i}]"
         s = _mapping(node, spath)
-        kind = _take(s, "kind", spath, str)
+        kind = _field(s, SourceScenario, "kind", spath)
         if kind not in ("point", "disc", "file"):
             raise ScenarioError(f"{spath}.kind", "must be point, disc or file")
-        src = SourceScenario(
-            kind=kind,
-            x_mm=_take(s, "x_mm", spath, float, 0.0),
-            z_mm=_take(s, "z_mm", spath, float, 0.0),
-            amplitude=_take(s, "amplitude", spath, float, 1.0),
-            radius_mm=_take(s, "radius_mm", spath, float, None)
-            if kind == "disc" or "radius_mm" in s
-            else None,
-            path=_take(s, "path", spath, str, None) if kind == "file" or "path" in s else None,
-        )
-        _no_extras(s, spath)
+        src = _section(s, SourceScenario, spath, kind=kind)
         if kind == "disc" and (src.radius_mm is None or src.radius_mm <= 0):
             raise ScenarioError(f"{spath}.radius_mm", "disc sources need a radius > 0")
         if kind == "file" and not src.path:
             raise ScenarioError(f"{spath}.path", "file sources need a path")
         sources.append(src)
 
-    t = _mapping(doc.pop("transmit", None), f"{path}.transmit")
-    scheme = _take(t, "scheme", f"{path}.transmit", str, "sa")
+    tpath = f"{path}.transmit"
+    t = _mapping(doc.pop("transmit", None), tpath)
+    scheme = _field(t, TransmitScenario, "scheme", tpath)
     if scheme not in ("sa", "fus"):
-        raise ScenarioError(f"{path}.transmit.scheme", "must be 'sa' or 'fus'")
-    lc = t.pop("line_centers", "elements")
-    if isinstance(lc, str):
-        if lc != "elements":
-            raise ScenarioError(
-                f"{path}.transmit.line_centers", "must be 'elements' or a list of mm"
-            )
-        line_centers = "elements"
-    elif isinstance(lc, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in lc
-    ):
-        line_centers = tuple(float(v) for v in lc)
-    else:
-        raise ScenarioError(
-            f"{path}.transmit.line_centers", "must be 'elements' or a list of mm"
-        )
-    transmit = TransmitScenario(
-        scheme=scheme,
-        focal_depth_mm=_take(t, "focal_depth_mm", f"{path}.transmit", float, 22.0),
-        line_centers=line_centers,
-    )
-    _no_extras(t, f"{path}.transmit")
+        raise ScenarioError(f"{tpath}.scheme", "must be 'sa' or 'fus'")
+    lc = t.pop("line_centers", TransmitScenario.line_centers)
+    if isinstance(lc, list) and all(map(_finite, lc)):
+        lc = tuple(float(v) for v in lc)
+    elif not isinstance(lc, str) or lc != "elements":
+        raise ScenarioError(f"{tpath}.line_centers", "must be 'elements' or a list of mm")
+    transmit = _section(t, TransmitScenario, tpath, scheme=scheme, line_centers=lc)
     if transmit.focal_depth_mm <= 0:
-        raise ScenarioError(f"{path}.transmit.focal_depth_mm", "must be > 0")
+        raise ScenarioError(f"{tpath}.focal_depth_mm", "must be > 0")
 
-    r = _mapping(doc.pop("reconstruction", None), f"{path}.reconstruction")
-    grid_node = r.pop("grid", None)
-    grid = None
-    if grid_node is not None:
-        gpath = f"{path}.reconstruction.grid"
-        gd = _mapping(grid_node, gpath)
-        grid = GridScenario(
-            x0_mm=_take(gd, "x0_mm", gpath, float),
-            z0_mm=_take(gd, "z0_mm", gpath, float),
-            dx_mm=_take(gd, "dx_mm", gpath, float),
-            dz_mm=_take(gd, "dz_mm", gpath, float),
-            nx=_take(gd, "nx", gpath, int),
-            nz=_take(gd, "nz", gpath, int),
-        )
-        _no_extras(gd, gpath)
-    reconstruction = ReconstructionScenario(
-        f_number=_take(r, "f_number", f"{path}.reconstruction", float, 1.5),
-        max_depth_mm=_take(r, "max_depth_mm", f"{path}.reconstruction", float, 50.0),
-        weighting=_take(r, "weighting", f"{path}.reconstruction", str, "none"),
-        amplitude_correct=_take(
-            r, "amplitude_correct", f"{path}.reconstruction", bool, False
-        ),
-        cfpl_centered=_take(r, "cfpl_centered", f"{path}.reconstruction", bool, False),
-        grid=grid,
-    )
-    _no_extras(r, f"{path}.reconstruction")
+    rpath = f"{path}.reconstruction"
+    r = _mapping(doc.pop("reconstruction", None), rpath)
+    grid = r.pop("grid", None)
+    if grid is not None:
+        grid = _section(grid, GridScenario, f"{rpath}.grid")
+    reconstruction = _section(r, ReconstructionScenario, rpath, grid=grid)
     if reconstruction.weighting not in WEIGHTINGS:
-        raise ScenarioError(
-            f"{path}.reconstruction.weighting", f"must be one of {WEIGHTINGS}"
-        )
+        raise ScenarioError(f"{rpath}.weighting", f"must be one of {WEIGHTINGS}")
     if reconstruction.f_number <= 0:
-        raise ScenarioError(f"{path}.reconstruction.f_number", "must be > 0")
+        raise ScenarioError(f"{rpath}.f_number", "must be > 0")
     if reconstruction.max_depth_mm <= 0:
-        raise ScenarioError(f"{path}.reconstruction.max_depth_mm", "must be > 0")
+        raise ScenarioError(f"{rpath}.max_depth_mm", "must be > 0")
 
     targets = []
-    tgt_nodes = doc.pop("targets", [])
-    if not isinstance(tgt_nodes, list):
-        raise ScenarioError(f"{path}.targets", "expected a list")
-    for i, node in enumerate(tgt_nodes):
+    for i, node in enumerate(_items(doc, "targets", path)):
         tpath = f"{path}.targets[{i}]"
         td = _mapping(node, tpath)
-        group = td.pop("group", None)
-        if group is not None and not isinstance(group, str):
-            raise ScenarioError(f"{tpath}.group", "expected a string")
-        tgt = TargetScenario(
-            label=_take(td, "label", tpath, str),
-            x_mm=_take(td, "x_mm", tpath, float),
-            z_mm=_take(td, "z_mm", tpath, float),
-            signal_roi_mm=_roi(td.pop("signal_roi_mm", None), f"{tpath}.signal_roi_mm"),
-            noise_roi_mm=_roi(td.pop("noise_roi_mm", None), f"{tpath}.noise_roi_mm"),
-            group=group,
-        )
-        _no_extras(td, tpath)
-        targets.append(tgt)
+        # group first, ROIs last: with several faults, the one named first stays put
+        read = {k: _field(td, TargetScenario, k, tpath) for k in ("group", "label", "x_mm", "z_mm")}
+        for k in ("signal_roi_mm", "noise_roi_mm"):
+            read[k] = _roi(td.pop(k, None), f"{tpath}.{k}")
+        targets.append(_section(td, TargetScenario, tpath, **read))
 
     _no_extras(doc, path)
     return Scenario(
@@ -424,8 +345,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         doc["transmit"]["line_centers"] = list(lc)
     if doc["reconstruction"]["grid"] is None:
         del doc["reconstruction"]["grid"]
-    if doc["simulation"]["amplitude_scale"] is None:
-        doc["simulation"]["amplitude_scale"] = None
     if not doc["description"]:
         del doc["description"]
     return doc

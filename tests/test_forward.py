@@ -11,14 +11,12 @@ from aesynth import (
     SFieldGrid,
     TransmitEvent,
     differential_subtract,
-    element_beam_amplitude,
     focused_sequence,
     matched_filter,
     pulse_waveform,
     simulate_channel,
     simulate_dataset,
     single_element_sequence,
-    time_of_flight,
     trace_length,
 )
 from aesynth.errors import InvalidEventError, ValidationError
@@ -28,7 +26,9 @@ from aesynth.forward import (
     _amplitude,
     _element_blocks,
     common_mode_trace,
+    element_beam_amplitude,
     pulse_center_index,
+    time_of_flight,
 )
 
 

@@ -16,12 +16,12 @@ from aesynth import (
     fus_line_map,
     simulate_dataset,
     single_element_sequence,
-    sub_aperture_elements,
     sub_aperture_size,
     wavelength,
 )
 from aesynth.errors import InvalidEventError, MethodMismatchError, ValidationError
 from aesynth.forward import ChannelDataSet
+from aesynth.reconstruct import sub_aperture_elements
 
 
 def make_scene(num_elements=64, pitch=0.315e-3, fs=16e6):

@@ -1,12 +1,26 @@
+import copy
+import math
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from aesynth.errors import ScenarioError
 from aesynth.scenario import (
+    AcquisitionScenario,
+    GeometryScenario,
+    MediumScenario,
+    PressureScenario,
+    PulseScenario,
+    ReconstructionScenario,
     Scenario,
+    SimulationScenario,
+    TransmitScenario,
     build_acquisition,
     build_events,
     build_geometry,
@@ -17,6 +31,7 @@ from aesynth.scenario import (
     build_s_field,
     build_targets,
     load_scenario,
+    parse_scenario,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -25,6 +40,7 @@ from aesynth.scenario import (
 from aesynth.suite import bundled_scenario
 
 MINIMAL = {"name": "t", "seed": 3}
+BUNDLED = ["saline_points", "nerve_disc", "depth_pair", "sham"]
 
 FULL = {
     "name": "full",
@@ -132,6 +148,158 @@ class TestParsing:
         doc["pulse"] = {"center_frequency": 2.0e6, "sample_rate": 8.0e6}
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("where, value", [
+        ("signal_roi_mm", [0.0, 1.0, float("nan"), 3.0]),
+        ("noise_roi_mm", [0.0, 10**400, 2.0, 3.0]),
+        ("line_centers", [0.0, float("inf")]),
+        ("line_centers", [-(10**400)]),
+    ], ids=["roi_nan", "roi_huge_int", "centers_inf", "centers_huge_int"])
+    def test_nonfinite_list_number_rejected(self, where, value):
+        doc = copy.deepcopy(FULL)
+        node = doc["transmit"] if where == "line_centers" else doc["targets"][0]
+        node[where] = value
+        with pytest.raises(ScenarioError, match=where):
+            scenario_from_dict(doc)
+
+    def test_unknown_non_string_key_rejected(self):
+        with pytest.raises(ScenarioError, match="unknown field.*1, bogus"):
+            scenario_from_dict(dict(MINIMAL, geometry={1: 2.0, "bogus": 3}))
+
+    def test_null_accepted_where_the_default_is_null(self):
+        doc = dict(MINIMAL, sources=[
+            {"kind": "point", "z_mm": 20.0, "radius_mm": None, "path": None},
+            {"kind": "disc", "z_mm": 30.0, "radius_mm": 1.0, "path": None},
+        ], simulation={"amplitude_scale": None})
+        doc["reconstruction"] = {"grid": None}
+        doc["targets"] = [dict(FULL["targets"][0], group=None)]
+        s = scenario_from_dict(doc)
+        assert s.sources[0].radius_mm is None and s.sources[1].path is None
+        assert s.simulation.amplitude_scale is None and s.reconstruction.grid is None
+        assert s.targets[0].group is None
+        assert scenario_from_dict(scenario_to_dict(s)) == s
+
+    @pytest.mark.parametrize("kind, field", [("disc", "radius_mm"), ("file", "path")])
+    def test_null_rejected_where_the_source_needs_it(self, kind, field):
+        doc = dict(MINIMAL, sources=[{"kind": kind, field: None}])
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc)
+        assert info.value.path == f"scenario.sources[0].{field}"
+
+
+# Every section of the schema as (path, dataclass), found from the declared
+# field types, so a section or field added later is covered here unasked.
+def _sections(cls, where):
+    out = [(where, cls)]
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        t = hints[f.name]
+        sub = next((a for a in (t, *typing.get_args(t)) if is_dataclass(a)), None)
+        if sub is not None:
+            index = "[0]" if typing.get_origin(t) is tuple else ""
+            out += _sections(sub, f"{where}.{f.name}{index}")
+    return out
+
+
+SECTIONS = _sections(Scenario, "scenario")
+FIELDS = [(where, f, typing.get_type_hints(cls)[f.name]) for where, cls in SECTIONS for f in fields(cls)]
+REQUIRED = [(w, f) for w, f, _ in FIELDS if f.default is MISSING and f.default_factory is MISSING]
+# values of the wrong type for a declared scalar type; anything else is given a string
+WRONG = {str: [5], int: ["x", True, 1.5], float: ["x", True], bool: ["x", 1]}
+WRONG_TYPED = [
+    (where, f, value)
+    for where, f, hint in FIELDS
+    for value in next((WRONG[a] for a in (hint, *typing.get_args(hint)) if a in WRONG), ["x"])
+]
+GRID = {"x0_mm": -1.0, "z0_mm": 2.0, "dx_mm": 0.5, "dz_mm": 0.25, "nx": 5, "nz": 9}
+SCHEMA_DOC = dict(FULL, reconstruction=dict(FULL["reconstruction"], grid=GRID))
+
+
+def _node(doc, where):
+    for part in where.split(".")[1:]:
+        key, _, index = part.partition("[")
+        doc = doc[key] if not index else doc[key][int(index[:-1])]
+    return doc
+
+
+class TestSchemaFields:
+    @pytest.mark.parametrize(
+        "where, f, value", WRONG_TYPED, ids=[f"{w}.{f.name}={v!r}" for w, f, v in WRONG_TYPED]
+    )
+    def test_wrong_type_names_the_field(self, where, f, value):
+        doc = copy.deepcopy(SCHEMA_DOC)
+        _node(doc, where)[f.name] = value
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc)
+        assert info.value.path == f"{where}.{f.name}"
+
+    @pytest.mark.parametrize("where, f", REQUIRED, ids=[f"{w}.{f.name}" for w, f in REQUIRED])
+    def test_missing_required_field_is_named(self, where, f):
+        doc = copy.deepcopy(SCHEMA_DOC)
+        del _node(doc, where)[f.name]
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc)
+        assert info.value.path == f"{where}.{f.name}"
+
+
+def test_readme_schema_block_parses_to_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("The schema, with defaults:", 1)[1].split("```yaml\n", 1)[1]
+    s = parse_scenario(block.split("```", 1)[0], "README.md")
+    assert s.geometry == GeometryScenario()
+    assert s.medium == MediumScenario()
+    assert s.pulse == PulseScenario()
+    assert s.pressure_model == PressureScenario()
+    assert s.acquisition == AcquisitionScenario()
+    assert s.simulation == SimulationScenario()
+    assert s.transmit == TransmitScenario()
+    assert s.reconstruction == ReconstructionScenario()
+
+
+BUNDLED_DOCS = [
+    yaml.safe_load((resources.files("aesynth") / "scenarios" / f"{n}.yaml").read_text())
+    for n in BUNDLED
+]
+BAD_VALUES = st.sampled_from([
+    None, "x", True, [], {}, 0, 0.0, -1, -2.5, math.nan, math.inf, -math.inf,
+    10**400, -(10**400), 1e308, 2**63, [0.0, 1.0, 2.0, 3.0], [math.nan],
+]) | st.floats() | st.integers()
+KEYS = st.sampled_from([
+    "bogus", 1, "description", "group", "radius_mm", "path", "grid", "line_centers",
+]) | st.text(max_size=4)
+
+
+def _paths(node, path=()):
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_bundled_scenario_parses_or_raises_scenario_error(data):
+    # parse only: nothing of size M is built
+    doc = copy.deepcopy(data.draw(st.sampled_from(BUNDLED_DOCS)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        nodes = list(_paths(doc))
+        path, node = data.draw(st.sampled_from(nodes))
+        op = data.draw(st.sampled_from(["set", "delete", "add"]))
+        value = copy.deepcopy(data.draw(BAD_VALUES))  # later steps may edit it in place
+        if op == "add" and isinstance(node, dict):
+            node[data.draw(KEYS)] = value
+        elif path:
+            parent = dict(nodes)[path[:-1]]
+            if op == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+    try:
+        s = scenario_from_dict(doc)
+    except ScenarioError:
+        return
+    assert scenario_from_dict(scenario_to_dict(s)) == s
+    assert parse_scenario(yaml.safe_dump(scenario_to_dict(s)), "s.yaml") == s
 
 
 class TestBuilders:
@@ -266,7 +434,7 @@ class TestBuilders:
         assert t.group == "on_focus"
 
 
-@pytest.mark.parametrize("name", ["saline_points", "nerve_disc", "depth_pair", "sham"])
+@pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenario_parses_as_with_the_python_loader(name):
     path = resources.files("aesynth") / "scenarios" / f"{name}.yaml"
     doc = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
