@@ -14,8 +14,9 @@ pulse length starting at the arrival time.
 without storing an aperture.  Its delays, windows and gather indices depend
 only on the array, grid, medium and sampling, never on the traces, so it
 takes a batch of datasets that share them and plans each row once for all.
-``coherence_factor`` and ``coherence_factor_pl`` give the same bits from the
-``ApertureSamples`` that ``das_sa`` returns.
+``coherence_factor`` and ``coherence_factor_pl`` give the same bits by
+re-gathering through the delay plan (``ApertureSamples``) that ``das_sa``
+returns.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .reconstruct import (
     _gather_plan,
     _interpolate,
     _lane_elements,
+    _lanes_used,
     _plan_inputs,
     _sa_rows,
     _sub_aperture_windows,
@@ -83,22 +85,6 @@ def _cf_values(
     return np.clip(cf, 0.0, 1.0)
 
 
-def _lanes_used(member: np.ndarray) -> np.ndarray:
-    """Number of leading lanes holding any member, per (nx, w) row of ``member``."""
-    used = member.any(axis=-2)
-    return np.where(used.any(axis=-1), used.shape[-1] - np.argmax(used[..., ::-1], axis=-1), 0)
-
-
-def coherence_factor(samples: ApertureSamples) -> CoherenceMap:
-    """Coherence factor of the delayed aperture samples at every pixel."""
-    cf = np.zeros((samples.grid.nz, samples.grid.nx))
-    for iz, w in enumerate(_lanes_used(samples.member)):
-        valid = samples.valid[iz, :, :w]
-        vals = np.where(valid, samples.samples[iz, :, :w], 0.0)
-        cf[iz] = _cf_values(vals, np.count_nonzero(valid, axis=-1))
-    return CoherenceMap(grid=samples.grid, values=cf, kind=KIND_CF)
-
-
 def _pulse_offsets(pulse_samples: int, centered: bool) -> np.ndarray:
     """Sample offsets of the pulse-length instants from the arrival, (L, 1, 1)."""
     if pulse_samples < 1:
@@ -134,6 +120,15 @@ def _block_samples(flats, plan, w: int, count: np.ndarray, scratch: _Scratch):
         yield vals, _cf_values(vals[..., :w], count, scratch)
 
 
+def coherence_factor(samples: ApertureSamples) -> CoherenceMap:
+    """Coherence factor of the delayed aperture samples at every pixel.
+
+    The one-instant case of ``coherence_factor_pl``: the samples are
+    re-gathered at the arrival positions.
+    """
+    return replace(coherence_factor_pl(samples, 1), kind=KIND_CF, pulse_samples=None)
+
+
 def coherence_factor_pl(
     samples: ApertureSamples,
     pulse_samples: int,
@@ -161,7 +156,7 @@ def coherence_factor_pl(
             yield elem, samples.member[iz, :, :w], samples.positions[iz, :, :w], w
 
     total = np.zeros((nz, nx))
-    scratch = _Scratch(pulse_samples * nx * samples.samples.shape[2])
+    scratch = _Scratch(pulse_samples * nx * samples.positions.shape[2])
     channels = samples.channels
     blocks = _pulse_blocks([channels.ravel()], channels.shape[1], rows(), offsets, scratch)
     for acc, (_, frames) in zip(total, blocks):

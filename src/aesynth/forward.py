@@ -124,15 +124,6 @@ class ChannelDataSet:
         return self.channels.shape[1]
 
 
-def time_of_flight(source, target, sos: float) -> float:
-    """Euclidean distance between two (x, z) points divided by the speed of sound."""
-    if not sos > 0:
-        raise ValidationError("sos must be > 0")
-    sx, sz = source
-    tx, tz = target
-    return float(np.hypot(tx - sx, tz - sz)) / sos
-
-
 def trace_length(max_depth: float, medium: Medium, pulse: PulseSpec) -> int:
     """Number of samples covering one-way propagation to ``max_depth`` plus the pulse."""
     if not max_depth > 0:

@@ -57,29 +57,25 @@ class BeamformedImage:
 
 @dataclass(frozen=True, eq=False)
 class ApertureSamples:
-    """Per-pixel delayed single-element samples, as ``das_sa`` returns them.
+    """The SA delay plan ``das_sa`` returns: where each pixel samples each lane.
 
-    This is the stored aperture that ``coherence_factor`` and
-    ``coherence_factor_pl`` read; the pipeline uses ``coherence.sa_frame``,
-    which forms the same maps row by row and stores none.  Band layout: a
-    pixel keeps only its sub-aperture window, on ``W`` lanes, where ``W`` is
-    the widest window of the grid.  Lane ``j`` of pixel (ix, iz) holds
-    element ``start[iz, ix] + j``; lanes past the window are padding with
-    ``member`` False.  The full-aperture case is ``start = 0`` and
-    ``W = M``.  The arrays hold nz * nx * W lanes rather than nz * nx * M.
+    ``coherence_factor`` and ``coherence_factor_pl`` re-gather the delayed
+    samples from it; the pipeline uses ``coherence.sa_frame``, which forms
+    the same maps row by row and stores no plan.  Band layout: a pixel keeps
+    only its sub-aperture window, on ``W`` lanes, where ``W`` is the widest
+    window of the grid.  Lane ``j`` of pixel (ix, iz) holds element
+    ``start[iz, ix] + j``; lanes past the window are padding with ``member``
+    False.  The full-aperture case is ``start = 0`` and ``W = M``.  The
+    arrays hold nz * nx * W lanes rather than nz * nx * M.
 
-    ``samples[iz, ix, j]`` is the lane's channel sampled at the pixel's
-    arrival time (0 where unusable); ``member`` marks sub-aperture
-    membership, ``valid`` additionally requires the sample time to lie
-    within the recorded trace.  ``positions`` are fractional sample indices
-    so pulse-length windows can be re-gathered from ``channels`` (one row
-    per array element).
+    ``member[iz, ix, j]`` marks sub-aperture membership and
+    ``positions[iz, ix, j]`` is the lane's arrival time as a fractional
+    sample index into ``channels`` (one row per array element).  A lane
+    contributes where it is a member and its position lies within the trace.
     """
 
     grid: PixelGrid
-    samples: np.ndarray = field(repr=False)
     member: np.ndarray = field(repr=False)
-    valid: np.ndarray = field(repr=False)
     positions: np.ndarray = field(repr=False)
     channels: np.ndarray = field(repr=False)
     start: np.ndarray = field(repr=False)
@@ -90,7 +86,8 @@ class ApertureSamples:
 
     def valid_count(self) -> np.ndarray:
         """Per-pixel number of contributing elements (edge/support aware)."""
-        return self.valid.sum(axis=2)
+        inside = (self.positions >= 0) & (self.positions <= self.channels.shape[1] - 1)
+        return (inside & self.member).sum(axis=2)
 
 
 def sub_aperture_size(z: float, f_number: float, pitch: float, num_elements: int) -> int:
@@ -119,15 +116,10 @@ def _lane_elements(lo: np.ndarray, width: int, num_elements: int) -> np.ndarray:
     return np.minimum(lo[..., None] + np.arange(width), num_elements - 1)
 
 
-def sub_aperture_elements(pixel, geometry: ArrayGeometry, f_number: float) -> np.ndarray:
-    """Indices of the sub-aperture elements for one pixel.
-
-    The window is centered on the element nearest the pixel and truncated,
-    not shifted, at the array edges (see ``_sub_aperture_windows``).
-    """
-    x, z = pixel
-    lo, hi = _sub_aperture_windows(geometry, [x], [z], f_number)
-    return np.arange(int(lo[0, 0]), int(hi[0, 0]) + 1)
+def _lanes_used(member: np.ndarray) -> np.ndarray:
+    """Number of leading lanes holding any member, per (nx, w) row of ``member``."""
+    used = member.any(axis=-2)
+    return np.where(used.any(axis=-1), used.shape[-1] - np.argmax(used[..., ::-1], axis=-1), 0)
 
 
 class _Scratch:
@@ -190,21 +182,6 @@ def _interpolate(flat: np.ndarray, plan, scratch: _Scratch) -> np.ndarray:
     return v
 
 
-def _gather(
-    channels: np.ndarray, rows, pos: np.ndarray, scratch: _Scratch | None = None, member=None
-):
-    """Linear-interpolated samples ``channels[rows, pos]`` with a support mask.
-
-    The flattened traces are indexed directly, so only the requested samples
-    are read; samples outside the trace, or off the ``member`` mask, are 0
-    (see ``_gather_plan``).  With a ``scratch`` the results live in its
-    buffers, so repeated large gathers do not allocate.
-    """
-    buf = scratch or _Scratch()
-    plan = _gather_plan(channels.shape[1], rows, pos, buf, member)
-    return _interpolate(channels.ravel(), plan, buf), plan[3]
-
-
 def _element_map(data: ChannelDataSet):
     """Channel row (-1 if none) and transmit delay of every element.
 
@@ -259,10 +236,6 @@ def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
     c = data.medium.sos
     lo, hi = _sub_aperture_windows(geometry, xs, zs, f_number)
     span = hi - lo
-    # Each window's last member: the last element up to ``hi`` with a channel.
-    last = np.maximum.accumulate(np.where(has_channel, np.arange(m), -1))[hi]
-    last -= lo  # in place: a second (nz, nx) temporary raised the frame's peak RSS
-    used = np.maximum(last.max(axis=1) + 1, 0)
 
     def rows():
         for iz in range(grid.nz):
@@ -270,7 +243,7 @@ def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
             elem = _lane_elements(lo[iz], w, m)
             member = (np.arange(w) <= span[iz][:, None]) & has_channel[elem]
             tau = elem_delay[elem] + np.hypot(xs[:, None] - elem_x[elem], zs[iz]) / c
-            yield trace_row[elem], member, (tau - data.t0) * data.sample_rate, int(used[iz])
+            yield trace_row[elem], member, (tau - data.t0) * data.sample_rate, int(_lanes_used(member))
 
     return trace_of_elem, lo, int(span.max()) + 1, rows()
 
@@ -291,27 +264,27 @@ def das_sa(
     trace_of_elem, lo, width, rows = _sa_rows(data, grid, f_number)
     shape = (grid.nz, grid.nx, width)
     values = np.zeros((grid.nz, grid.nx))
-    samples = np.zeros(shape)
+    coverage = np.zeros((grid.nz, grid.nx), dtype=np.int64)
     member = np.zeros(shape, dtype=bool)
-    valid = np.zeros(shape, dtype=bool)
     positions = np.full(shape, -1.0)
+    flat = data.channels.ravel()
+    scratch = _Scratch(grid.nx * width)
 
     for iz, (trace, row_member, pos, _) in enumerate(rows):
         w = pos.shape[1]
-        vals, row_valid = _gather(data.channels, trace, pos, member=row_member)
-        values[iz] = vals.sum(axis=1)
-        samples[iz, :, :w] = vals
+        plan = _gather_plan(data.num_samples, trace, pos, scratch, row_member)
+        values[iz] = _interpolate(flat, plan, scratch).sum(axis=1)
+        coverage[iz] = plan[3].sum(axis=1)
         member[iz, :, :w] = row_member
-        valid[iz, :, :w] = row_valid
         positions[iz, :, :w] = pos
 
     # the stored aperture re-gathers by element: channels in element order
     has_channel = trace_of_elem >= 0
     channels = np.zeros((data.geometry.num_elements, data.num_samples))
     channels[has_channel] = data.channels[trace_of_elem[has_channel]]
-    aperture = ApertureSamples(grid, samples, member, valid, positions, channels, lo)
+    aperture = ApertureSamples(grid, member, positions, channels, lo)
     image = BeamformedImage(
-        grid=grid, values=values, method=METHOD_SA, f_number=f_number, coverage=valid.sum(axis=2)
+        grid=grid, values=values, method=METHOD_SA, f_number=f_number, coverage=coverage
     )
     return image, aperture
 
@@ -346,6 +319,7 @@ def fus_line_map(
     filled = np.zeros(grid.nx, dtype=bool)
     # Column -> (distance to its line center, event index); closest line wins.
     best = np.full(grid.nx, np.inf)
+    scratch = _Scratch()
 
     for row, ev in enumerate(data.events):
         delays = np.where(ev.active, ev.delays, -np.inf)
@@ -361,8 +335,8 @@ def fus_line_map(
             continue
         best[col] = dist
         pos = (t_ref + zs / medium.sos - data.t0) * fs
-        trace = data.channels[row]
-        values[:, col], _ = _gather(trace[None, :], 0, pos)
+        plan = _gather_plan(data.num_samples, 0, pos, scratch)
+        values[:, col] = _interpolate(data.channels[row], plan, scratch)
         filled[col] = True
 
     coverage = np.broadcast_to(filled, (grid.nz, grid.nx)).copy()

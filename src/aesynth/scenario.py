@@ -255,6 +255,8 @@ def scenario_from_dict(doc: dict, path: str = "scenario") -> Scenario:
     acquisition = _section(doc.pop("acquisition", None), AcquisitionScenario, apath)
     if acquisition.averages < 1:
         raise ScenarioError(f"{apath}.averages", "must be >= 1")
+    if acquisition.averages > 2**53:  # noise scales by 1/k in floats: keep k exact
+        raise ScenarioError(f"{apath}.averages", "must be <= 2**53")
     if acquisition.noise_power < 0:
         raise ScenarioError(f"{apath}.noise_power", "must be >= 0")
 
@@ -554,7 +556,7 @@ def build_targets(s: Scenario) -> list[TargetSpec]:
     return out
 
 
-def shift_depth(s: Scenario, dz_mm: float, rename: bool = True) -> Scenario:
+def shift_depth(s: Scenario, dz_mm: float) -> Scenario:
     """Scenario with sources, targets and signal ROIs moved deeper by ``dz_mm``.
 
     Noise ROIs stay put (they describe source-free background).  File-backed
@@ -576,5 +578,5 @@ def shift_depth(s: Scenario, dz_mm: float, rename: bool = True) -> Scenario:
         )
         for t in s.targets
     )
-    name = f"{s.name}+{dz_mm:g}mm" if rename and dz_mm else s.name
+    name = f"{s.name}+{dz_mm:g}mm" if dz_mm else s.name
     return replace(s, name=name, sources=sources, targets=targets)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,17 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "x.aecd")]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_huge_averages_exit_2_at_parse(self, tmp_path, capsys):
+        doc = yaml.safe_load(yaml.safe_dump(SMALL_SCENARIO))
+        doc["geometry"]["num_elements"] = 8
+        doc["acquisition"]["averages"] = 10**400
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        start = time.perf_counter()
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.aecd")])
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert "scenario.acquisition.averages" in capsys.readouterr().err
+        assert not (tmp_path / "x.aecd").exists()
 
     @pytest.mark.parametrize("field, value", [
         (("geometry", "pitch_mm"), float("inf")),

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ def vectors_to_aperture(vectors):
 
     Channel rows and integer positions are arranged so re-gathering at the
     stored positions reproduces the vectors bitwise (each pixel owns one
-    sample column per element).
+    sample column per element).  A re-gather needs traces of at least 2
+    samples, so pass at least 2 vectors.
     """
     from aesynth.reconstruct import ApertureSamples
 
@@ -58,12 +60,9 @@ def vectors_to_aperture(vectors):
     positions = np.broadcast_to(
         np.arange(n_pix, dtype=float)[:, None, None], (n_pix, 1, m)
     ).copy()
-    ones = np.ones((n_pix, 1, m), dtype=bool)
     return ApertureSamples(
         grid=grid,
-        samples=vectors[:, None, :].copy(),
-        member=ones,
-        valid=ones.copy(),
+        member=np.ones((n_pix, 1, m), dtype=bool),
         positions=positions,
         channels=channels,
         start=np.zeros((n_pix, 1), dtype=np.int64),
@@ -74,19 +73,15 @@ def windowed_noise_aperture(rng, n_pix, m, window):
     """Full-aperture samples (start 0, W = M) drawn from iid noise with
     non-overlapping windows."""
     from aesynth.reconstruct import ApertureSamples
-    from aesynth.reconstruct import _gather
 
     stride = window + 2
     channels = rng.normal(size=(m, n_pix * stride + window))
     positions = np.broadcast_to(
         (np.arange(n_pix, dtype=float) * stride)[:, None, None], (n_pix, 1, m)
     ).copy()
-    vals, support = _gather(channels, np.arange(m), positions)
-    assert support.all()
     grid = PixelGrid(origin=(0.0, 1e-3), dx=1e-4, dz=1e-4, nx=1, nz=n_pix)
-    ones = np.ones((n_pix, 1, m), dtype=bool)
     return ApertureSamples(
-        grid=grid, samples=vals, member=ones, valid=ones.copy(),
+        grid=grid, member=np.ones((n_pix, 1, m), dtype=bool),
         positions=positions, channels=channels,
         start=np.zeros((n_pix, 1), dtype=np.int64),
     )
@@ -219,8 +214,9 @@ class TestCoherenceFactorPulseLength:
         t_end = aperture.channels.shape[1]
         aperture.positions[-1, :, :] = t_end - 1  # last instant in support, rest out
         vals = coherence_factor_pl(aperture, pulse_samples=5)
+        # two identical pixels: the reference traces need 2 samples
         first = coherence_factor(
-            vectors_to_aperture(aperture.channels[:, t_end - 1][None, :])
+            vectors_to_aperture(np.tile(aperture.channels[:, t_end - 1], (2, 1)))
         )
         assert vals.values[-1, 0] == pytest.approx(first.values[0, 0] / 5)
 
@@ -411,14 +407,9 @@ class TestFusedFrame:
         with pytest.raises(ValidationError):
             sa_frame([data], grid, 1.0, pulse_samples=0)
 
-    def test_nerve_disc_frame_peak_allocation(self, tmp_path):
-        """An M=64 desk frame stores no aperture cube (about 22 MB)."""
-        scenario = bundled_scenario("nerve_disc")
-        path = tmp_path / "nerve_disc_sa.aecd"
-        run_simulate(scenario, path)
-        data = load_channels(path, scenario)
-        grid = build_pixel_grid(scenario)
-        assert data.geometry.num_elements == 64
+    def test_nerve_disc_frame_peak_allocation(self, nerve_disc_frame):
+        """An M=64 desk frame stores no delay plan (about 13 MB)."""
+        scenario, data, grid = nerve_disc_frame
         tracemalloc.start()
         try:
             sa_frame(
@@ -429,6 +420,37 @@ class TestFusedFrame:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_nerve_disc_delay_plan_bytes(self, nerve_disc_frame):
+        """``das_sa`` stores the delay plan, 9 bytes a lane, and no sample cube."""
+        scenario, data, grid = nerve_disc_frame
+        _, aperture = das_sa(data, grid, scenario.reconstruction.f_number)
+        stored = sum(v.nbytes for v in vars(aperture).values() if isinstance(v, np.ndarray))
+        assert stored < 12e6
+
+
+@pytest.fixture(scope="module")
+def nerve_disc_frame(tmp_path_factory):
+    """The bundled M=64 nerve-disc scene, its simulated SA channels and its grid."""
+    scenario = bundled_scenario("nerve_disc")
+    path = tmp_path_factory.mktemp("nerve_disc") / "nerve_disc_sa.aecd"
+    run_simulate(scenario, path)
+    data = load_channels(path, scenario)
+    assert data.geometry.num_elements == 64
+    return scenario, data, build_pixel_grid(scenario)
+
+
+def test_readme_library_block_runs():
+    """The README's Python quick start runs and weights the image it documents."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+    namespace = {}
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), namespace)
+    weighted = namespace["weighted"]
+    assert weighted.envelope is not None
+    # the point source at pixel (135, 32) is the brightest pixel of the weighted image
+    peak = np.unravel_index(np.argmax(weighted.envelope), weighted.envelope.shape)
+    assert tuple(int(i) for i in peak) == (135, 32)
 
 
 def bits(a):

@@ -19,7 +19,7 @@ from aesynth import (
     single_element_sequence,
     trace_length,
 )
-from aesynth.errors import InvalidEventError, ValidationError
+from aesynth.errors import InvalidEventError
 from aesynth.forward import (
     DECAY_MODES,
     DIRECTIVITY_MODES,
@@ -28,7 +28,6 @@ from aesynth.forward import (
     common_mode_trace,
     element_beam_amplitude,
     pulse_center_index,
-    time_of_flight,
 )
 
 
@@ -148,21 +147,6 @@ def raw_event(delays, active):
     event = TransmitEvent(delays=np.zeros(len(delays)), active=active)
     object.__setattr__(event, "delays", np.asarray(delays, dtype=float))
     return event
-
-
-class TestTimeOfFlight:
-    def test_axial(self):
-        assert time_of_flight((0, 0), (0, 14.8e-3), 1480.0) == pytest.approx(10e-6)
-
-    def test_zero_distance(self):
-        assert time_of_flight((1e-3, 2e-3), (1e-3, 2e-3), 1480.0) == 0.0
-
-    def test_three_four_five(self):
-        assert time_of_flight((3e-3, 0), (0, 4e-3), 1000.0) == pytest.approx(5e-6)
-
-    def test_rejects_bad_sos(self):
-        with pytest.raises(ValidationError):
-            time_of_flight((0, 0), (0, 1), 0.0)
 
 
 class TestElementBeamAmplitude:

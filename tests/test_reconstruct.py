@@ -21,7 +21,13 @@ from aesynth import (
 )
 from aesynth.errors import InvalidEventError, MethodMismatchError, ValidationError
 from aesynth.forward import ChannelDataSet
-from aesynth.reconstruct import sub_aperture_elements
+from aesynth.reconstruct import _sub_aperture_windows
+
+
+def window_elements(pixel, g, f_number):
+    """Sub-aperture elements of one (x, z) pixel, from ``_sub_aperture_windows``."""
+    (lo,), (hi,) = _sub_aperture_windows(g, [pixel[0]], [pixel[1]], f_number)
+    return np.arange(lo[0], hi[0] + 1)
 
 
 def make_scene(num_elements=64, pitch=0.315e-3, fs=16e6):
@@ -74,24 +80,24 @@ class TestSubApertureElements:
         g = ArrayGeometry(num_elements=9, pitch=0.5e-3)
         # depth chosen so the window holds exactly 5 elements
         z = 5 * 1.5 * 0.5e-3
-        idx = sub_aperture_elements((0.0, z), g, 1.5)
+        idx = window_elements((0.0, z), g, 1.5)
         np.testing.assert_array_equal(idx, [2, 3, 4, 5, 6])
 
     def test_edge_truncates_instead_of_shifting(self):
         g = ArrayGeometry(num_elements=9, pitch=0.5e-3)
         z = 5 * 1.5 * 0.5e-3
-        idx = sub_aperture_elements((g.element_positions()[0], z), g, 1.5)
+        idx = window_elements((g.element_positions()[0], z), g, 1.5)
         np.testing.assert_array_equal(idx, [0, 1, 2])
 
     def test_full_aperture_for_centered_pixel(self):
         g = ArrayGeometry(num_elements=9, pitch=0.5e-3)
-        idx = sub_aperture_elements((0.0, 1.0), g, 1.5)
+        idx = window_elements((0.0, 1.0), g, 1.5)
         np.testing.assert_array_equal(idx, np.arange(9))
 
     def test_corner_window_truncates_below_nominal(self):
         # at the lateral border only about half the nominal window survives
         g = ArrayGeometry(num_elements=9, pitch=0.5e-3)
-        idx = sub_aperture_elements((g.element_positions()[0], 1.0), g, 1.5)
+        idx = window_elements((g.element_positions()[0], 1.0), g, 1.5)
         np.testing.assert_array_equal(idx, np.arange(5))
 
 
@@ -122,10 +128,10 @@ class TestDasSa:
         # band layout: one lane per element of the widest window (here the
         # deep rows' window covers all 8 elements) and one start per pixel
         widest = max(
-            len(sub_aperture_elements((x, z), g, 1.5))
+            len(window_elements((x, z), g, 1.5))
             for z in grid.z_coords() for x in grid.x_coords()
         )
-        assert aperture.samples.shape == (8, 5, widest)
+        assert aperture.positions.shape == (8, 5, widest)
         assert aperture.start.shape == (8, 5)
 
     def test_band_holds_only_the_widest_window(self):
@@ -141,11 +147,11 @@ class TestDasSa:
         )
         _, aperture = das_sa(data, grid, f_number=1.5)
         m_deep = sub_aperture_size(grid.z_coords()[-1], 1.5, g.pitch, 64)
-        assert aperture.samples.shape == (6, 13, m_deep)
+        assert aperture.positions.shape == (6, 13, m_deep)
         assert m_deep < 64
         for iz, z in enumerate(grid.z_coords()):
             for ix, x in enumerate(grid.x_coords()):
-                idx = sub_aperture_elements((x, z), g, 1.5)
+                idx = window_elements((x, z), g, 1.5)
                 assert aperture.start[iz, ix] == idx[0]
                 np.testing.assert_array_equal(
                     np.flatnonzero(aperture.member[iz, ix]), idx - idx[0]
@@ -171,7 +177,7 @@ class TestDasSa:
         for iz, z in enumerate(grid.z_coords()):
             m_sa = sub_aperture_size(z, 1.5, g.pitch, 8)
             for ix, x in enumerate(grid.x_coords()):
-                members = sub_aperture_elements((x, z), g, 1.5)
+                members = window_elements((x, z), g, 1.5)
                 if 5 not in members:
                     continue
                 pos = np.hypot(x - ex[5], z) / medium.sos * pulse.sample_rate

@@ -143,6 +143,11 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="geometry.num_elements"):
             scenario_from_dict(dict(MINIMAL, geometry={"num_elements": 65536}))
 
+    def test_averages_beyond_exact_float_rejected(self):
+        assert scenario_from_dict(dict(MINIMAL, acquisition={"averages": 2**53}))
+        with pytest.raises(ScenarioError, match="scenario.acquisition.averages"):
+            scenario_from_dict(dict(MINIMAL, acquisition={"averages": 2**53 + 1}))
+
     def test_undersampled_pulse_rejected(self):
         doc = dict(MINIMAL)
         doc["pulse"] = {"center_frequency": 2.0e6, "sample_rate": 8.0e6}
