@@ -129,18 +129,18 @@ def _write_image_bundle(prefix: str, image: BeamformedImage, meta: dict) -> list
 
 
 def reconstruct_bundles(
-    scenes,
+    jobs,
     method: str = "auto",
     f_number: float | None = None,
     do_amplitude_correct: bool | None = None,
 ) -> list[dict]:
-    """Reconstruct loaded scenes and write one image bundle per weighting of each.
+    """Reconstruct channel files and write one image bundle per weighting of each.
 
-    ``scenes`` holds ``(data, scenario, prefixes, source_channels)``
-    tuples.  ``prefixes`` maps each weighting (``none``, ``cf``, ``cfpl``) to
-    its output prefix; a ``None`` prefix computes that weighting without
-    writing it.  ``f_number`` and ``do_amplitude_correct`` default to each
-    scenario's own.
+    ``jobs`` holds ``(scenario, channel_path, prefixes)`` tuples; each file
+    is read with ``load_channels``.  ``prefixes`` maps each weighting
+    (``none``, ``cf``, ``cfpl``) to its output prefix; a ``None`` prefix
+    computes that weighting without writing it.  ``f_number`` and
+    ``do_amplitude_correct`` default to each scenario's own.
 
     The single-element scenes share one delay plan (array, medium, sampling,
     events, pixel grid and F-number; else ``ValidationError``), so they take
@@ -152,6 +152,7 @@ def reconstruct_bundles(
     correction, the corrected image of every weighting, plus the maps and
     every file written.
     """
+    scenes = [(load_channels(path, s), s, prefixes, path) for s, path, prefixes in jobs]
     detected = [_detect_method(data) for data, *_ in scenes]
     for found in detected:
         if method not in ("auto", found):
@@ -239,10 +240,7 @@ def _write_scene(scene, grid: PixelGrid, f_number: float, frame, do_amplitude_co
         written += [f"{prefix}_beam_map.csv", f"{prefix}_beam_map.pgm"]
         written += _write_image_bundle(f"{prefix}_corrected", corrected[weighting], meta)
 
-    return {
-        "images": images, "corrected": corrected, "maps": maps,
-        "method": METHOD_SA if frame is not None else METHOD_FUS, "written": written,
-    }
+    return {"images": images, "corrected": corrected, "maps": maps, "written": written}
 
 
 def run_reconstruct(
@@ -261,8 +259,8 @@ def run_reconstruct(
     correction is requested.
     """
     weighting = scenario.reconstruction.weighting if weighting is None else weighting
-    scene = (load_channels(channel_path, scenario), scenario, {weighting: out_prefix}, channel_path)
-    (result,) = reconstruct_bundles([scene], method, f_number, do_amplitude_correct)
+    job = (scenario, channel_path, {weighting: out_prefix})
+    (result,) = reconstruct_bundles([job], method, f_number, do_amplitude_correct)
     result["image"] = result.pop("images")[weighting]
     result["corrected"] = result["corrected"].get(weighting)
     return result

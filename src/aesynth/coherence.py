@@ -10,13 +10,14 @@ pixel (edge-truncated sub-apertures and out-of-support samples reduce it).
 The pulse-length variant averages the CF over the samples spanning one
 pulse length starting at the arrival time.
 
-``sa_frame`` forms the SA image, CF and CFPL in one pass over depth rows
-without storing an aperture.  Its delays, windows and gather indices depend
+One row pass, ``_sa_pass``, forms every CF and CFPL map.  ``sa_frame``
+feeds it the rows of ``_sa_rows`` and gets the SA image with its maps
+without storing an aperture; its delays, windows and gather indices depend
 only on the array, grid, medium and sampling, never on the traces, so it
 takes a batch of datasets that share them and plans each row once for all.
-``coherence_factor`` and ``coherence_factor_pl`` give the same bits by
-re-gathering through the delay plan (``ApertureSamples``) that ``das_sa``
-returns.
+``coherence_factor`` and ``coherence_factor_pl`` feed it the rows of the
+delay plan (``ApertureSamples``) that ``das_sa`` stores and give the same
+bits.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .reconstruct import (
     _lanes_used,
     _plan_inputs,
     _sa_rows,
-    _sub_aperture_windows,
+    _window_rows,
     envelope,
 )
 
@@ -85,39 +86,49 @@ def _cf_values(
     return np.clip(cf, 0.0, 1.0)
 
 
-def _pulse_offsets(pulse_samples: int, centered: bool) -> np.ndarray:
-    """Sample offsets of the pulse-length instants from the arrival, (L, 1, 1)."""
+def _sa_pass(
+    rows, flats, num_samples: int, grid: PixelGrid, width: int, pulse_samples: int, centered: bool
+):
+    """Image values, coverage, CF and CFPL of every channel block, in one pass over depth rows.
+
+    ``rows`` yields, per depth row, ``_sa_rows``-style lanes: trace indices,
+    membership and arrival positions, each (nx, w), and the lanes up to the
+    last member; ``width`` bounds every row's w.  ``flats`` are flattened
+    channel blocks of ``num_samples``-sample traces that share those rows.
+    Per row the ``pulse_samples`` instants from the arrival (centered on it
+    with ``centered``) are planned once; per block only the interpolation,
+    the sums and the CF run.  The image and coverage come from the arrival
+    instant, summed over the row's w lanes.  The CF reduces only the lanes up
+    to the last member: trailing empty lanes would regroup numpy's pairwise
+    sums.  CF is the arrival instant's CF and CFPL the mean CF over the
+    instants, summed in instant order.  Returns (blocks, nz, nx) values, CF
+    and CFPL and the shared (nz, nx) coverage.
+    """
     if pulse_samples < 1:
         raise ValidationError("pulse_samples must be >= 1")
     offsets = np.arange(pulse_samples)
     if centered:
         offsets = offsets - (pulse_samples - 1) // 2
-    return offsets.astype(float)[:, None, None]
-
-
-def _pulse_blocks(flats, num_samples: int, rows, offsets: np.ndarray, scratch: _Scratch):
-    """Per row of ``_sa_rows``-style ``(trace, member, pos, used)``, plan the L instants once.
-
-    ``flats`` are flattened channel blocks of ``num_samples``-sample traces
-    that share one delay plan.  Each row yields its (L, nx, w) valid mask and
-    an iterator over ``flats`` of the (L, nx, w) samples and the (L, nx) CF
-    of every instant, which must be consumed before the next row.  Only the
-    interpolation and the CF run per block.  The CF reduces only the ``used``
-    lanes, up to the last one holding a member: trailing empty lanes would
-    regroup numpy's pairwise sums.
-    """
-    for trace, member, pos, w in rows:
+    arrival = int(-offsets[0])
+    offsets = offsets.astype(float)[:, None, None]
+    values, cf, cfpl = np.zeros((3, len(flats), grid.nz, grid.nx))
+    coverage = np.zeros((grid.nz, grid.nx), dtype=np.int64)
+    scratch = _Scratch(pulse_samples * grid.nx * width)
+    for iz, (trace, member, pos, used) in enumerate(rows):
         block = np.add(pos, offsets, out=scratch("pos", offsets.shape[:1] + pos.shape))
         plan = _gather_plan(num_samples, trace, block, scratch, member)
         valid = plan[3]
-        count = np.count_nonzero(valid[..., :w], axis=-1)
-        yield valid, _block_samples(flats, plan, w, count, scratch)
-
-
-def _block_samples(flats, plan, w: int, count: np.ndarray, scratch: _Scratch):
-    for flat in flats:
-        vals = _interpolate(flat, plan, scratch)
-        yield vals, _cf_values(vals[..., :w], count, scratch)
+        coverage[iz] = valid[arrival].sum(axis=-1)
+        count = np.count_nonzero(valid[..., :used], axis=-1)
+        for k, flat in enumerate(flats):
+            vals = _interpolate(flat, plan, scratch)
+            values[k, iz] = vals[arrival].sum(axis=-1)
+            row_cf = _cf_values(vals[..., :used], count, scratch)
+            cf[k, iz] = row_cf[arrival]
+            for instant in row_cf:
+                cfpl[k, iz] += instant
+    cfpl /= pulse_samples
+    return values, coverage, cf, cfpl
 
 
 def coherence_factor(samples: ApertureSamples) -> CoherenceMap:
@@ -142,30 +153,21 @@ def coherence_factor_pl(
     sample; pass ``centered=True`` to center it on the arrival instead.
     Instants with zero energy contribute 0 to the mean.
 
-    Each depth row gathers all instants at once, (pulse_samples, nx, w)
-    samples for the row's w lanes, into buffers reused across rows.  Rows
-    run in one loop on the calling thread; ``threads`` is accepted and
-    ignored.
+    The stored plan's rows, cut to their lanes up to the last member, go
+    through ``_sa_pass``.  Rows run in one loop on the calling thread;
+    ``threads`` is accepted and ignored.
     """
-    offsets = _pulse_offsets(pulse_samples, centered)
-    nz, nx = samples.grid.nz, samples.grid.nx
 
     def rows():
         for iz, w in enumerate(_lanes_used(samples.member)):
             elem = _lane_elements(samples.start[iz], w, samples.num_elements)
             yield elem, samples.member[iz, :, :w], samples.positions[iz, :, :w], w
 
-    total = np.zeros((nz, nx))
-    scratch = _Scratch(pulse_samples * nx * samples.positions.shape[2])
-    channels = samples.channels
-    blocks = _pulse_blocks([channels.ravel()], channels.shape[1], rows(), offsets, scratch)
-    for acc, (_, frames) in zip(total, blocks):
-        for _, cf in frames:
-            for instant in cf:  # a running sum in instant order, whatever the row's shape
-                acc += instant
-    return CoherenceMap(
-        grid=samples.grid, values=total / pulse_samples, kind=KIND_CFPL, pulse_samples=pulse_samples
-    )
+    channels, width = samples.channels, samples.positions.shape[2]
+    cfpl = _sa_pass(
+        rows(), [channels.ravel()], channels.shape[1], samples.grid, width, pulse_samples, centered
+    )[3]
+    return CoherenceMap(samples.grid, cfpl[0], KIND_CFPL, pulse_samples)
 
 
 def sa_frame(
@@ -175,18 +177,13 @@ def sa_frame(
 
     The datasets must share one delay plan: the same array, speed of sound,
     sampling and element -> event map with its delays (``_plan_inputs``),
-    else ``ValidationError``.  Per depth row the windows, arrival positions,
-    gather indices, interpolation weights, support and valid counts are
-    computed once; per dataset only the interpolation, the sums and the CF
-    run, in buffers that do not grow with the number of datasets.  One frame
-    is a one-item batch.
+    else ``ValidationError``.  The rows of ``_sa_rows`` go through
+    ``_sa_pass`` once for the whole batch; one frame is a one-item batch.
 
     Each triple is bitwise equal to ``das_sa`` followed by
     ``coherence_factor`` and ``coherence_factor_pl`` on its aperture, but
     nothing larger than one row's (pulse_samples, nx, w) block is stored.
-    The image and coverage come from the arrival instant, summed over the
-    row's full window width, CF is that instant's CF and CFPL the mean CF
-    over all instants.  The images share one coverage array.
+    The images share one coverage array.
     """
     if not datasets:
         raise ValidationError("sa_frame needs at least one dataset")
@@ -197,31 +194,18 @@ def sa_frame(
             "datasets in one SA frame pass must share the array, speed of sound, "
             "sampling and transmit events"
         )
-    offsets = _pulse_offsets(pulse_samples, centered)
-    arrival = int(-offsets[0, 0, 0])
     _, _, width, rows = _sa_rows(first, grid, f_number)
-    values, cf = np.zeros((2, len(datasets), grid.nz, grid.nx))
-    total = np.zeros(values.shape)  # apart, so it is freed once the CFPL means are taken
-    coverage = np.zeros((grid.nz, grid.nx), dtype=np.int64)
-    scratch = _Scratch(pulse_samples * grid.nx * width)
     flats = [data.channels.ravel() for data in datasets]
-    blocks = _pulse_blocks(flats, first.num_samples, rows, offsets, scratch)
-    for iz, (valid, frames) in enumerate(blocks):
-        coverage[iz] = valid[arrival].sum(axis=-1)
-        for k, (vals, row_cf) in enumerate(frames):
-            values[k, iz] = vals[arrival].sum(axis=-1)
-            cf[k, iz] = row_cf[arrival]
-            for instant in row_cf:
-                total[k, iz] += instant
+    values, coverage, cf, cfpl = _sa_pass(
+        rows, flats, first.num_samples, grid, width, pulse_samples, centered
+    )
     return [
         (
-            BeamformedImage(
-                grid, values[k], method=METHOD_SA, f_number=f_number, coverage=coverage
-            ),
-            CoherenceMap(grid, cf[k], KIND_CF),
-            CoherenceMap(grid, total[k] / pulse_samples, KIND_CFPL, pulse_samples),
+            BeamformedImage(grid, v, method=METHOD_SA, f_number=f_number, coverage=coverage),
+            CoherenceMap(grid, c, KIND_CF),
+            CoherenceMap(grid, p, KIND_CFPL, pulse_samples),
         )
-        for k in range(len(datasets))
+        for v, c, p in zip(values, cf, cfpl)
     ]
 
 
@@ -257,19 +241,13 @@ def effective_beam_map(
     ``threads`` is accepted and ignored.
     """
     del medium, pulse
-    m = geometry.num_elements
     elem_x = geometry.element_positions()
     xs = grid.x_coords()
-    zs = grid.z_coords()
-    lo, hi = _sub_aperture_windows(geometry, xs, zs, f_number)
-    span = hi - lo
+    _, _, windows = _window_rows(geometry, grid, f_number)
     out = np.zeros((grid.nz, grid.nx))
-
-    for iz in range(grid.nz):
-        w = int(span[iz].max()) + 1
-        elem = _lane_elements(lo[iz], w, m)
-        amp = _amplitude(xs[:, None] - elem_x[elem], zs[iz], model)
-        out[iz] = np.where(np.arange(w) <= span[iz][:, None], amp, 0.0).sum(axis=1)
+    for out_row, z, (elem, in_window) in zip(out, grid.z_coords(), windows):
+        amp = _amplitude(xs[:, None] - elem_x[elem], z, model)
+        out_row[:] = np.where(in_window, amp, 0.0).sum(axis=1)
     return out
 
 

@@ -212,6 +212,25 @@ def _plan_inputs(data: ChannelDataSet) -> tuple:
     )
 
 
+def _window_rows(geometry: ArrayGeometry, grid: PixelGrid, f_number: float):
+    """The sub-aperture window of every pixel, row by row.
+
+    Returns the window starts ``lo`` (nz, nx), the grid's widest window and a
+    generator over depth rows.  Row ``iz`` yields its lanes' elements and
+    whether each lane lies in its pixel's window, each (nx, w) for the row's
+    widest window ``w``.
+    """
+    lo, hi = _sub_aperture_windows(geometry, grid.x_coords(), grid.z_coords(), f_number)
+    span = hi - lo
+
+    def rows():
+        for row_lo, row_span in zip(lo, span):
+            w = int(row_span.max()) + 1
+            yield _lane_elements(row_lo, w, geometry.num_elements), np.arange(w) <= row_span[:, None]
+
+    return lo, int(span.max()) + 1, rows()
+
+
 def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
     """Row setup shared by every SA beamformer.
 
@@ -224,28 +243,21 @@ def _sa_rows(data: ChannelDataSet, grid: PixelGrid, f_number: float):
     never a member.  Nothing here reads a sample, so the rows serve every
     dataset with the same ``_plan_inputs``.
     """
-    geometry = data.geometry
-    m = geometry.num_elements
-    elem_x = geometry.element_positions()
+    elem_x = data.geometry.element_positions()
     trace_of_elem, elem_delay = _element_map(data)
     has_channel = trace_of_elem >= 0
     trace_row = np.maximum(trace_of_elem, 0)
-
     xs = grid.x_coords()
-    zs = grid.z_coords()
     c = data.medium.sos
-    lo, hi = _sub_aperture_windows(geometry, xs, zs, f_number)
-    span = hi - lo
+    lo, width, windows = _window_rows(data.geometry, grid, f_number)
 
     def rows():
-        for iz in range(grid.nz):
-            w = int(span[iz].max()) + 1
-            elem = _lane_elements(lo[iz], w, m)
-            member = (np.arange(w) <= span[iz][:, None]) & has_channel[elem]
-            tau = elem_delay[elem] + np.hypot(xs[:, None] - elem_x[elem], zs[iz]) / c
+        for z, (elem, in_window) in zip(grid.z_coords(), windows):
+            member = in_window & has_channel[elem]
+            tau = elem_delay[elem] + np.hypot(xs[:, None] - elem_x[elem], z) / c
             yield trace_row[elem], member, (tau - data.t0) * data.sample_rate, int(_lanes_used(member))
 
-    return trace_of_elem, lo, int(span.max()) + 1, rows()
+    return trace_of_elem, lo, width, rows()
 
 
 def das_sa(

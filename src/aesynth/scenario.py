@@ -27,7 +27,9 @@ from .core import (
     default_pixel_grid,
 )
 from .errors import ScenarioError
-from .forward import PressureModel, focused_sequence, single_element_sequence
+from .forward import (
+    DECAY_MODES, DIRECTIVITY_MODES, PressureModel, focused_sequence, single_element_sequence,
+)
 from .io import MAX_ELEMENTS
 from .metrics import Rect, TargetSpec
 
@@ -244,9 +246,9 @@ def scenario_from_dict(doc: dict, path: str = "scenario") -> Scenario:
 
     ppath = f"{path}.pressure_model"
     pressure_model = _section(doc.pop("pressure_model", None), PressureScenario, ppath)
-    if pressure_model.decay not in ("none", "inverse_sqrt", "inverse"):
+    if pressure_model.decay not in DECAY_MODES:
         raise ScenarioError(f"{ppath}.decay", "unknown decay mode")
-    if pressure_model.directivity not in ("omni", "cosine"):
+    if pressure_model.directivity not in DIRECTIVITY_MODES:
         raise ScenarioError(f"{ppath}.directivity", "unknown directivity")
     if pressure_model.r_min_mm <= 0:
         raise ScenarioError(f"{ppath}.r_min_mm", "must be > 0")

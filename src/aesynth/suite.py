@@ -17,9 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as aio
-from .cli import (
-    METRICS_HEADER, evaluate_images, load_channels, reconstruct_bundles, run_simulate,
-)
+from .cli import METRICS_HEADER, evaluate_images, reconstruct_bundles, run_simulate
 from .metrics import peak_pixel
 from .scenario import Scenario, build_targets, parse_scenario, shift_depth
 
@@ -88,16 +86,6 @@ def _pool(rows, medium_name, method, weighting, key, group=None):
     return float(np.mean(vals)) if vals else None
 
 
-def _reconstruct(jobs) -> list[dict]:
-    """``reconstruct_bundles`` over ``(scenario, channel path, prefixes)`` jobs.
-
-    Each scene gets its scenario's own amplitude correction: on for the
-    depth pair only.
-    """
-    scenes = [(load_channels(path, s), s, prefixes, path) for s, path, prefixes in jobs]
-    return reconstruct_bundles(scenes)
-
-
 def _depth_rows(base: Scenario, medium_name: str, no_noise: bool, channels_dir: Path,
                 images_dir: Path, checks: Checks, summary: list[str]) -> list[dict]:
     """Simulate, image and score one medium at every depth shift; its metric rows.
@@ -126,9 +114,9 @@ def _depth_rows(base: Scenario, medium_name: str, no_noise: bool, channels_dir: 
             jobs[scheme] = (variant, ch_path, prefixes)
         depths.append((scene, scene_tag, jobs))
 
-    sa_results = _reconstruct([jobs["sa"] for _, _, jobs in depths])
+    sa_results = reconstruct_bundles([jobs["sa"] for _, _, jobs in depths])
     for (scene, scene_tag, jobs), sa_result in zip(depths, sa_results):
-        (fus_result,) = _reconstruct([jobs["fus"]])
+        (fus_result,) = reconstruct_bundles([jobs["fus"]])
         images = []
         for (_, _, prefixes), result in ((jobs["sa"], sa_result), (jobs["fus"], fus_result)):
             images += [(prefixes[w], result["images"][w], w) for w in prefixes]
@@ -244,7 +232,7 @@ def run_paper_suite(out_dir, seed: int = 7, no_noise: bool = False, threads: int
             if k == SHAM_AVERAGES[0]:
                 prefixes["cf"] = None  # the CF check's map, not written
             jobs.append((variant, ch_path, prefixes))
-    pair_result, *sham_results = _reconstruct(jobs)
+    pair_result, *sham_results = reconstruct_bundles(jobs)
 
     targets = build_targets(pair)
     shallow, deep = targets[0], targets[1]

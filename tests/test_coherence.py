@@ -24,7 +24,7 @@ from aesynth import (
     sub_aperture_size,
 )
 from aesynth.cli import load_channels, run_simulate
-from aesynth.coherence import _cf_values, _lanes_used, sa_frame
+from aesynth.coherence import _cf_values, sa_frame
 from aesynth.errors import GridMismatchError, ValidationError
 from aesynth.forward import ChannelDataSet, TransmitEvent
 from aesynth.reconstruct import BeamformedImage, _sa_rows
@@ -385,7 +385,7 @@ class TestFusedFrame:
 
     @pytest.mark.parametrize("scene", ["saline_points", "nerve_disc", "depth_pair", "sham", None])
     def test_frame_lane_widths_match_per_row(self, scene):
-        """``_sa_rows``' per-frame widths are ``_lanes_used`` of each row's members."""
+        """``_sa_rows``' per-row widths reach the last lane that holds a member with a channel."""
         if scene is None:  # the last element's channel missing
             (data, grid), f_number = band_scene(4, 12, 90, 7, 6, 0.9e-3, 1e-3, True, True), 0.6
         else:
@@ -397,8 +397,19 @@ class TestFusedFrame:
                 medium=build_medium(scenario), pulse=build_pulse(scenario),
             )
             grid, f_number = build_pixel_grid(scenario), scenario.reconstruction.f_number
+        g, m = data.geometry, data.geometry.num_elements
+        has_channel = {ev.single_element_index() for ev in data.events}
+        want = []
+        for z in grid.z_coords():
+            size = sub_aperture_size(z, f_number, g.pitch, m)
+            used = 0
+            for x in grid.x_coords():
+                k = g.nearest_element(x)
+                lo, hi = max(k - (size - 1) // 2, 0), min(k + size // 2, m - 1)
+                used = max([used] + [e - lo + 1 for e in range(lo, hi + 1) if e in has_channel])
+            want.append(used)
         rows = list(_sa_rows(data, grid, f_number)[3])
-        assert [used for *_, used in rows] == [_lanes_used(member) for _, member, *_ in rows]
+        assert [used for *_, used in rows] == want
         if scene is None:
             assert any(used < member.shape[1] for _, member, _, used in rows)
 
@@ -585,6 +596,22 @@ class TestEffectiveBeamMap:
         assert np.array_equal(
             effective_beam_map(g, grid, 1.5, medium, pulse, model, threads=2), bm
         )
+
+    def test_constant_model_counts_das_sa_members(self):
+        # the beam map and das_sa walk the same windows: with every channel
+        # present and a constant amplitude, the map is each pixel's member count
+        g, medium, pulse, model = make_scene()
+        from aesynth import default_pixel_grid
+
+        grid = default_pixel_grid(g, medium, pulse, 40e-3)
+        data = ChannelDataSet(
+            channels=np.zeros((g.num_elements, 2)), sample_rate=pulse.sample_rate, t0=0.0,
+            events=tuple(single_element_sequence(g)), geometry=g, medium=medium, pulse=pulse,
+        )
+        _, aperture = das_sa(data, grid, 1.5)
+        bm = effective_beam_map(g, grid, 1.5, medium, pulse, model)
+        assert bm.shape == (216, 64)
+        np.testing.assert_array_equal(bm, aperture.member.sum(axis=2))
 
     def test_decay_model_lowers_amplitude(self):
         g, medium, pulse, _ = make_scene()
